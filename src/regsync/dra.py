@@ -16,18 +16,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .ra import (
-    RegisterAutomaton,
-    StructuralError,
-    guard_mask,
-    is_complete,
-    is_deterministic,
-)
+from .ra import RegisterAutomaton, StructuralError, is_complete, is_deterministic
 from .semantics import (
     FRESH,
     AbstractConfigSet,
     Engine,
+    bfs_path,
     choice_of_word,
+    engine_for,
     instantiate_choice_word,
     is_synchronized,
 )
@@ -87,13 +83,9 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
     """
     k = aut.registers
     full = (1 << k) - 1
-    edges = []
-    for t in aut.transitions:
-        gm = guard_mask(t.guard, k)
-        upm = 0
-        for r in t.update:
-            upm |= 1 << r
-        edges.append((t.source, gm, upm, t.target))
+    edges = [[(mask, sum(1 << r for r in update), target)
+              for cell in row for mask, update, target in cell]
+             for row in aut.compiled.table]
     out = []
     for start in range(len(aut.locations)):
         seen = {(start, 0)}
@@ -101,9 +93,7 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
         ok = k == 0
         while queue and not ok:
             loc, up = queue.popleft()
-            for source, gm, upm, target in edges:
-                if source != loc:
-                    continue
+            for gm, upm, target in edges[loc]:
                 if generalized:
                     usable = any(gm >> s & 1 for s in _submasks(up))
                 else:
@@ -137,7 +127,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
     shrink word exists; exceeding `max_nodes` raises InconclusiveError.
     """
     _require_dra(aut)
-    eng = Engine(aut)
+    eng = engine_for(aut)
     k = aut.registers
     reach = _update_reachability(aut, generalized=True)
     for loc, ok in enumerate(reach):
@@ -209,7 +199,7 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool) -> Optional[tuple]
     for q in (q1, q2):
         if any(d not in pool for d in q[1]):
             raise ValueError(f"configuration data {q[1]} not within the pool")
-    return _merge(Engine(aut), q1, q2, pool)
+    return _merge(engine_for(aut), q1, q2, pool)
 
 
 def _merge(eng: Engine, q1, q2, pool) -> Optional[tuple]:
@@ -227,13 +217,7 @@ def _merge(eng: Engine, q1, q2, pool) -> Optional[tuple]:
                     continue
                 parents[nxt] = (pair, (letter, datum))
                 if len(nxt) == 1:
-                    word = []
-                    cur = nxt
-                    while parents[cur] is not None:
-                        cur, step = parents[cur]
-                        word.append(step)
-                    word.reverse()
-                    return tuple(word)
+                    return tuple(bfs_path(parents, nxt)[1])
                 queue.append(nxt)
     return None
 
@@ -246,7 +230,7 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
     The result is re-checked against the abstract semantics before return.
     """
     _require_dra(aut)
-    eng = Engine(aut)
+    eng = engine_for(aut)
     k = aut.registers
     shrink = shrink_word(aut, max_nodes)
     if isinstance(shrink, NotShrinkable):
@@ -304,13 +288,7 @@ def _dfa_merge(dfa: Dfa, s1: int, s2: int) -> Optional[tuple]:
                 continue
             parents[nxt] = (pair, letter)
             if len(nxt) == 1:
-                word = []
-                cur = nxt
-                while parents[cur] is not None:
-                    cur, step = parents[cur]
-                    word.append(step)
-                word.reverse()
-                return tuple(word)
+                return tuple(bfs_path(parents, nxt)[1])
             queue.append(nxt)
     return None
 
@@ -338,7 +316,7 @@ def dra1_decide(aut: RegisterAutomaton) -> bool:
     _require_dra(aut)
     if not all(inequality_update_check(aut)):
         return False
-    eng = Engine(aut)
+    eng = engine_for(aut)
     n_loc = len(aut.locations)
     pool = (0, 1, 2)
     delta = []

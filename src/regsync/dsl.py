@@ -78,16 +78,31 @@ def _tokenize_guard(text: str, line: int, base_col: int):
     return tokens
 
 
+# Deepest guard AST, and deepest `!`/parenthesis nesting, the parser accepts:
+# every later walk over a guard recurses.  Real guards stay below 25 levels.
+MAX_GUARD_DEPTH = 100
+
+
 class _GuardParser:
+    """Recursive descent; each parse_* method returns (ast, height)."""
+
     def __init__(self, tokens, line: int, end_col: int):
         self.tokens = tokens
         self.line = line
         self.end_col = end_col
         self.pos = 0
+        self.nesting = 0
 
     def _fail(self, message: str):
         col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end_col
         raise DslError([ParseDiagnostic(self.line, col, message)])
+
+    def _checked(self, depth: int, pos: int) -> int:
+        """`depth`, or a DslError at token `pos` if it exceeds the cap."""
+        if depth > MAX_GUARD_DEPTH:
+            self.pos = pos
+            self._fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
+        return depth
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -100,45 +115,54 @@ class _GuardParser:
         return tok
 
     def parse(self) -> Constraint:
-        out = self.parse_or()
+        out, _ = self.parse_or()
         if self.peek() is not None:
             self._fail(f"unexpected guard token {self.peek()!r}")
         return out
 
-    def parse_or(self) -> Constraint:
-        out = self.parse_and()
+    def parse_or(self):
+        out, height = self.parse_and()
         while self.peek() == "|":
+            at = self.pos
             self.take()
-            rhs = self.parse_and()
+            rhs, rhs_height = self.parse_and()
             out = Not(And(Not(out), Not(rhs)))
-        return out
+            height = self._checked(3 + max(height, rhs_height), at)
+        return out, height
 
-    def parse_and(self) -> Constraint:
-        out = self.parse_unary()
+    def parse_and(self):
+        out, height = self.parse_unary()
         while self.peek() == "&":
+            at = self.pos
             self.take()
-            out = And(out, self.parse_unary())
-        return out
+            rhs, rhs_height = self.parse_unary()
+            out = And(out, rhs)
+            height = self._checked(1 + max(height, rhs_height), at)
+        return out, height
 
-    def parse_unary(self) -> Constraint:
+    def parse_unary(self):
         tok = self.peek()
-        if tok == "!":
+        if tok in ("!", "("):
+            at = self.pos
+            self.nesting = self._checked(self.nesting + 1, at)
             self.take()
-            return Not(self.parse_unary())
-        if tok == "(":
-            self.take()
-            out = self.parse_or()
-            if self.peek() != ")":
-                self._fail("expected ')'")
-            self.take()
+            if tok == "!":
+                operand, height = self.parse_unary()
+                out = Not(operand), self._checked(height + 1, at)
+            else:
+                out = self.parse_or()
+                if self.peek() != ")":
+                    self._fail("expected ')'")
+                self.take()
+            self.nesting -= 1
             return out
         tok = self.take()
         if tok == "true":
-            return TRUE
+            return TRUE, 1
         if tok.startswith("!=r"):
-            return Not(Eq(int(tok[3:])))
+            return Not(Eq(int(tok[3:]))), 2
         if tok.startswith("=r"):
-            return Eq(int(tok[2:]))
+            return Eq(int(tok[2:])), 1
         self._fail(f"unexpected guard token {tok!r}")
 
 

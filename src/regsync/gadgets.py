@@ -22,7 +22,6 @@ from .ra import (
     conj,
     disj,
     fresh_name,
-    guard_mask,
     is_complete,
     is_deterministic,
     mk_transition,
@@ -229,18 +228,18 @@ def _split_guarded_initial(aut: RegisterAutomaton) -> RegisterAutomaton:
     """
     acc = aut.acceptance
     full_mask = (1 << (1 << aut.registers)) - 1
+    masks = aut.compiled.masks
     reentrant = any(t.target == acc.initial for t in aut.transitions)
-    guarded = any(t.source == acc.initial
-                  and guard_mask(t.guard, aut.registers) != full_mask
-                  for t in aut.transitions)
+    guarded = any(t.source == acc.initial and mask != full_mask
+                  for t, mask in zip(aut.transitions, masks))
     if not reentrant and not guarded:
         return aut
     entry = len(aut.locations)
     full = frozenset(range(aut.registers))
     ts = list(aut.transitions)
     moves = set()
-    for t in aut.transitions:
-        if t.source == acc.initial and guard_mask(t.guard, aut.registers):
+    for t, mask in zip(aut.transitions, masks):
+        if t.source == acc.initial and mask:
             moves.add((t.letter, t.target))
     ts.extend(mk_transition(entry, letter, TRUE, full, target)
               for letter, target in sorted(moves))
@@ -349,8 +348,7 @@ def _normalized_classes(aut: RegisterAutomaton) -> list:
     """1-register transitions as (source, letter, fires_on_eq, fires_on_neq,
     updates, target), unsatisfiable guards dropped, duplicates merged."""
     classes = []
-    for t in aut.transitions:
-        gm = guard_mask(t.guard, 1)
+    for t, gm in zip(aut.transitions, aut.compiled.masks):
         if gm == 0:
             continue
         entry = (t.source, t.letter, bool(gm >> 1 & 1), bool(gm & 1),

@@ -22,10 +22,10 @@ from .semantics import (
     FRESH,
     AbstractConfigSet,
     Engine,
-    _config_key,
     _partitions,
-    canonicalize,
+    bfs_path,
     choice_of_word,
+    engine_for,
     instantiate_choice_word,
     is_synchronized,
 )
@@ -110,13 +110,7 @@ def _search_bfs(eng: Engine, root: AbstractConfigSet, goal: Callable, budget: Se
                 continue
             parents[nxt] = (aset, (letter, choice))
             if depth + 1 >= min_depth and goal(nxt):
-                path = []
-                cur = nxt
-                while parents[cur] is not None:
-                    cur, step = parents[cur]
-                    path.append(step)
-                path.reverse()
-                return _witness(path, tick.spent)
+                return _witness(bfs_path(parents, nxt)[1], tick.spent)
             queue.append((nxt, depth + 1))
     return NoneWithinBound(tick.spent)
 
@@ -170,15 +164,15 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
         raise StructuralError("bounded_sync_search needs a complete automaton")
     if budget.max_length < 1:
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
-    eng = Engine(aut)
+    eng = engine_for(aut)
     search = _search_bfs if bfs else _search_iddfs
     return search(eng, eng.abstract_initial(), is_synchronized, budget, min_depth=1)
 
 
-def _universality_root(eng: Engine) -> AbstractConfigSet:
-    acc = eng.automaton.acceptance
-    configs = tuple((acc.initial, tuple(-1 - b for b in rgs)) for rgs in _partitions(eng.k))
-    return canonicalize(AbstractConfigSet(tuple(sorted(configs, key=_config_key)), 0))
+def _universality_root(eng: Engine, initial: int) -> AbstractConfigSet:
+    """abstract_initial restricted to `initial`: every register partition there."""
+    configs = eng.abstract_initial().configs
+    return AbstractConfigSet(tuple(c for c in configs if c[0] == initial), 0)
 
 
 def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
@@ -188,7 +182,7 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
     the root carries every register partition at the initial location."""
     if aut.acceptance is None:
         raise ValueError("bounded_universality_witness needs acceptance structure")
-    eng = Engine(aut)  # validates, including the initial-update rule
+    eng = engine_for(aut)  # validates, including the initial-update rule
     accepting = aut.acceptance.accepting
 
     def rejected(aset: AbstractConfigSet) -> bool:
@@ -196,7 +190,8 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
 
     budget = SearchBudget(bound, None, max_nodes)
     search = _search_bfs if bfs else _search_iddfs
-    return search(eng, _universality_root(eng), rejected, budget, min_depth=0)
+    root = _universality_root(eng, aut.acceptance.initial)
+    return search(eng, root, rejected, budget, min_depth=0)
 
 
 def accepts(aut: RegisterAutomaton, word) -> bool:
@@ -208,8 +203,9 @@ def accepts(aut: RegisterAutomaton, word) -> bool:
     """
     if aut.acceptance is None:
         raise ValueError("accepts needs acceptance structure")
-    eng = Engine(aut)
-    aset = eng.abstract_run(choice_of_word(word), start=_universality_root(eng))
+    eng = engine_for(aut)
+    root = _universality_root(eng, aut.acceptance.initial)
+    aset = eng.abstract_run(choice_of_word(word), start=root)
     accepting = aut.acceptance.accepting
     return any(loc in accepting for loc, _ in aset.configs)
 
@@ -224,30 +220,16 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     """
     if aut.acceptance is None:
         raise ValueError("nonemptiness_witness needs acceptance structure")
-    eng = Engine(aut)
+    eng = engine_for(aut)
     acc = aut.acceptance
     k = aut.registers
     tick = _Budget(max_nodes if max_nodes is not None else default_max_nodes())
 
-    roots = [(acc.initial, rgs) for rgs in _partitions(k)]
-    parents = {}
-    queue = deque()
-    for state in roots:
-        if state not in parents:
-            parents[state] = None
-            queue.append(state)
+    roots = [(acc.initial, rgs) for rgs in _partitions(k)]  # pairwise distinct
+    parents = dict.fromkeys(roots)
+    queue = deque(roots)
     hit = roots[0] if acc.initial in acc.accepting else None
-
-    def canon(values) -> tuple:
-        mapping = {}
-        out = []
-        for v in values:
-            if v not in mapping:
-                mapping[v] = len(mapping)
-            out.append(mapping[v])
-        return tuple(out)
-
-    depth_of = {state: 0 for state in parents}
+    depth_of = dict.fromkeys(roots, 0)
     while queue and hit is None:
         state = queue.popleft()
         loc, pattern = state
@@ -261,10 +243,10 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
                     return BudgetExhausted(tick.spent)
                 datum = value if kind == "eq" else k  # k differs from all pattern codes
                 for tgt, nv in eng.post_config((loc, pattern), letter, datum):
-                    nxt = (tgt, canon(nv))
+                    nxt = (tgt, _pattern_of(nv))
                     if nxt in parents:
                         continue
-                    parents[nxt] = (state, (letter, kind, value))
+                    parents[nxt] = (state, ((letter, kind, value), nxt))
                     depth_of[nxt] = depth + 1
                     if tgt in acc.accepting:
                         hit = nxt
@@ -277,14 +259,8 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     if hit is None:
         return NoneWithinBound(tick.spent)
 
-    trail = []
-    cur = hit
-    while parents[cur] is not None:
-        prev, step = parents[cur]
-        trail.append((step, cur))
-        cur = prev
-    trail.reverse()
-    word = _replay_run(eng, cur, trail)
+    root, trail = bfs_path(parents, hit)
+    word = _replay_run(eng, root, trail)
     return Witness(choice_of_word(word), word, tick.spent)
 
 

@@ -11,6 +11,7 @@ completeness/determinism check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 Datum = int
@@ -94,16 +95,19 @@ def disj(parts) -> Constraint:
 
 def guard_registers(guard: Constraint) -> set:
     """All register indices referenced by the guard."""
-    match guard:
-        case TrueC():
-            return set()
-        case Eq(r):
-            return {r}
-        case And(l, r):
-            return guard_registers(l) | guard_registers(r)
-        case Not(g):
-            return guard_registers(g)
-    raise TypeError(f"not a constraint: {guard!r}")
+    out, stack = set(), [guard]
+    while stack:  # validate() walks every guard: plain type tests, no recursion
+        g = stack.pop()
+        kind = type(g)
+        if kind is Eq:
+            out.add(g.register)
+        elif kind is Not:
+            stack.append(g.operand)
+        elif kind is And:
+            stack += (g.left, g.right)
+        elif kind is not TrueC:
+            raise TypeError(f"not a constraint: {g!r}")
+    return out
 
 
 def eval_constraint(guard: Constraint, valuation: Valuation, datum: Datum) -> bool:
@@ -122,27 +126,28 @@ def eval_constraint(guard: Constraint, valuation: Valuation, datum: Datum) -> bo
     raise TypeError(f"not a constraint: {guard!r}")
 
 
-def eval_under_assignment(guard: Constraint, sigma: int) -> bool:
-    """Truth of `guard` under the atom assignment bitmask `sigma`."""
-    match guard:
-        case TrueC():
-            return True
-        case Eq(r):
-            return bool(sigma >> r & 1)
-        case And(l, r):
-            return eval_under_assignment(l, sigma) and eval_under_assignment(r, sigma)
-        case Not(g):
-            return not eval_under_assignment(g, sigma)
-    raise TypeError(f"not a constraint: {guard!r}")
-
-
 def guard_mask(guard: Constraint, k: int) -> int:
-    """Bitmask over all 2^k atom assignments satisfying `guard`."""
-    mask = 0
-    for sigma in range(1 << k):
-        if eval_under_assignment(guard, sigma):
-            mask |= 1 << sigma
-    return mask
+    """Bitmask over all 2^k atom assignments satisfying `guard`, in one
+    bottom-up pass.  Atom =r<j> holds where bit j of sigma is set: blocks of
+    2^j clear then 2^j set bits, i.e. one such block times a repunit."""
+    full = (1 << (1 << k)) - 1
+
+    def mask(g: Constraint) -> int:
+        kind = type(g)
+        if kind is Not:
+            return full ^ mask(g.operand)
+        if kind is Eq:
+            if g.register >= k:
+                return 0
+            block = 1 << g.register
+            return full // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
+        if kind is And:
+            return mask(g.left) & mask(g.right)
+        if kind is TrueC:
+            return full
+        raise TypeError(f"not a constraint: {g!r}")
+
+    return mask(guard)
 
 
 def apply_update(valuation: Valuation, update, datum: Datum) -> Valuation:
@@ -194,8 +199,11 @@ class RegisterAutomaton:
     def all_registers(self) -> frozenset:
         return frozenset(range(self.registers))
 
-    def transitions_from(self, source: int, letter: int) -> list:
-        return [t for t in self.transitions if t.source == source and t.letter == letter]
+    @cached_property
+    def compiled(self) -> "CompiledAutomaton":
+        """The compiled form, built on first use and kept on this instance
+        (a property, not a field: equality and hashing ignore it)."""
+        return CompiledAutomaton(self)
 
 
 def mk_transition(source, letter, guard, update, target) -> Transition:
@@ -260,51 +268,77 @@ def check_validated(aut: RegisterAutomaton) -> None:
         raise StructuralError("; ".join(d.message for d in diags))
 
 
-def _check_register_cap(aut: RegisterAutomaton, cap: Optional[int]) -> None:
-    cap = REGISTER_ENUMERATION_CAP if cap is None else cap
-    if aut.registers > cap:
-        raise ResourceCapError(
-            f"k={aut.registers} exceeds the assignment-enumeration cap {cap}")
+class CompiledAutomaton:
+    """An automaton's guards compiled once, with every structural check on them.
+
+    `diagnostics` is validate()'s verdict and `masks[i]` transition i's guard
+    mask.  `table[loc][letter]` lists the cell's satisfiable transitions in
+    stored order as (mask, sorted update, target), leaving out any with a
+    dangling id, and `covered[loc][letter]` is the union of their masks.
+    `gap` and `conflict` are the first cell assignment with no enabled
+    transition and with two, in (location, letter, sigma) order, or None.
+    `engine` is set by semantics.engine_for on first use.
+    """
+
+    __slots__ = ("diagnostics", "masks", "table", "covered", "gap", "conflict", "engine")
+
+    def __init__(self, aut: "RegisterAutomaton"):
+        k = aut.registers
+        if k < 0:
+            raise StructuralError(f"negative register count {k}")
+        if k > REGISTER_ENUMERATION_CAP:
+            raise ResourceCapError(
+                f"k={k} exceeds the assignment-enumeration cap {REGISTER_ENUMERATION_CAP}")
+        self.diagnostics = validate(aut)
+        self.masks = masks = tuple(guard_mask(t.guard, k) for t in aut.transitions)
+        n_loc, n_sym = len(aut.locations), len(aut.alphabet)
+        cells = [[[] for _ in range(n_sym)] for _ in range(n_loc)]
+        for i, t in enumerate(aut.transitions):
+            in_range = 0 <= t.source < n_loc and 0 <= t.target < n_loc and 0 <= t.letter < n_sym
+            if masks[i] and in_range:
+                cells[t.source][t.letter].append(i)
+        full = (1 << (1 << k)) - 1
+        self.gap = self.conflict = None
+        self.covered = [[0] * n_sym for _ in range(n_loc)]
+        for loc, row in enumerate(cells):
+            for letter, ids in enumerate(row):
+                covered = twice = 0
+                for i in ids:
+                    twice |= covered & masks[i]
+                    covered |= masks[i]
+                self.covered[loc][letter] = covered
+                if self.gap is None and covered != full:
+                    self.gap = (loc, letter, _lowest_bit(full & ~covered))
+                if self.conflict is None and twice:
+                    sigma = _lowest_bit(twice)
+                    first, second = [i for i in ids if masks[i] >> sigma & 1][:2]
+                    self.conflict = (loc, letter, sigma, first, second)
+        ts = aut.transitions
+        self.table = [[[(masks[i], tuple(sorted(ts[i].update)), ts[i].target) for i in ids]
+                       for ids in row] for row in cells]
+        self.engine = None
 
 
-def completeness_gap(aut: RegisterAutomaton, cap: Optional[int] = None):
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def completeness_gap(aut: RegisterAutomaton):
     """First (location, letter, sigma) cell with no enabled transition, or None."""
-    _check_register_cap(aut, cap)
-    k = aut.registers
-    for loc in range(len(aut.locations)):
-        for letter in range(len(aut.alphabet)):
-            covered = 0
-            for t in aut.transitions:
-                if t.source == loc and t.letter == letter:
-                    covered |= guard_mask(t.guard, k)
-            if covered != (1 << (1 << k)) - 1:
-                for sigma in range(1 << k):
-                    if not covered >> sigma & 1:
-                        return loc, letter, sigma
-    return None
+    return aut.compiled.gap
 
 
-def is_complete(aut: RegisterAutomaton, cap: Optional[int] = None) -> bool:
-    return completeness_gap(aut, cap) is None
+def is_complete(aut: RegisterAutomaton) -> bool:
+    return completeness_gap(aut) is None
 
 
-def determinism_conflict(aut: RegisterAutomaton, cap: Optional[int] = None):
+def determinism_conflict(aut: RegisterAutomaton):
     """First (location, letter, sigma, i, j) with two enabled transitions, or None."""
-    _check_register_cap(aut, cap)
-    k = aut.registers
-    for loc in range(len(aut.locations)):
-        for letter in range(len(aut.alphabet)):
-            hits = [(i, guard_mask(t.guard, k)) for i, t in enumerate(aut.transitions)
-                    if t.source == loc and t.letter == letter]
-            for sigma in range(1 << k):
-                enabled = [i for i, m in hits if m >> sigma & 1]
-                if len(enabled) > 1:
-                    return loc, letter, sigma, enabled[0], enabled[1]
-    return None
+    return aut.compiled.conflict
 
 
-def is_deterministic(aut: RegisterAutomaton, cap: Optional[int] = None) -> bool:
-    return determinism_conflict(aut, cap) is None
+def is_deterministic(aut: RegisterAutomaton) -> bool:
+    return determinism_conflict(aut) is None
 
 
 def fresh_name(base: str, taken) -> str:
@@ -314,8 +348,7 @@ def fresh_name(base: str, taken) -> str:
     return name
 
 
-def complete_with_sink(aut: RegisterAutomaton, cap: Optional[int] = None,
-                       skip=()) -> RegisterAutomaton:
+def complete_with_sink(aut: RegisterAutomaton, skip=()) -> RegisterAutomaton:
     """Total completion: route every uncovered (location, letter) cell to a sink.
 
     The added guard is the complement of the disjunction of the cell's
@@ -324,19 +357,15 @@ def complete_with_sink(aut: RegisterAutomaton, cap: Optional[int] = None,
     whose accepting location must stay exit-free until the construction adds
     its own loops).  Already-complete automata are returned unchanged.
     """
-    _check_register_cap(aut, cap)
-    k = aut.registers
-    full = (1 << (1 << k)) - 1
+    full = (1 << (1 << aut.registers)) - 1
     gaps = []
-    for loc in range(len(aut.locations)):
+    for loc, row in enumerate(aut.compiled.covered):
         if loc in skip:
             continue
-        for letter in range(len(aut.alphabet)):
-            guards = [t.guard for t in aut.transitions if t.source == loc and t.letter == letter]
-            covered = 0
-            for g in guards:
-                covered |= guard_mask(g, k)
+        for letter, covered in enumerate(row):
             if covered != full:
+                guards = [t.guard for t in aut.transitions
+                          if t.source == loc and t.letter == letter]
                 gap_guard = TRUE if not guards else Not(disj(guards))
                 gaps.append((loc, letter, gap_guard))
     if not gaps:

@@ -16,18 +16,10 @@ initial data interact with the word.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
-from .ra import (
-    REGISTER_ENUMERATION_CAP,
-    RegisterAutomaton,
-    ResourceCapError,
-    StructuralError,
-    check_validated,
-    guard_mask,
-)
+from .ra import RegisterAutomaton, StructuralError
 
 FRESH = -1
 
@@ -167,26 +159,19 @@ def _partitions(k: int):
 class Engine:
     """Per-automaton tables for fast concrete and abstract successor steps.
 
-    Guards compile to bitmasks over atom assignments; an input assignment is
-    the bitmask of registers whose (abstract or concrete) value equals the
-    input datum.
+    The table is the automaton's compiled cell table: guards as bitmasks over
+    atom assignments, where an input's assignment is the bitmask of registers
+    whose (abstract or concrete) value equals the input datum.
     """
 
-    def __init__(self, aut: RegisterAutomaton, cap: Optional[int] = None):
-        check_validated(aut)
-        cap = REGISTER_ENUMERATION_CAP if cap is None else cap
-        if aut.registers > cap:
-            raise ResourceCapError(f"k={aut.registers} exceeds the enumeration cap {cap}")
-        self.automaton = aut
+    def __init__(self, aut: RegisterAutomaton):
+        compiled = aut.compiled
+        if compiled.diagnostics:
+            raise StructuralError("; ".join(d.message for d in compiled.diagnostics))
         self.k = aut.registers
         self.n_locations = len(aut.locations)
         self.n_letters = len(aut.alphabet)
-        table = [[[] for _ in range(self.n_letters)] for _ in range(self.n_locations)]
-        for t in aut.transitions:
-            mask = guard_mask(t.guard, self.k)
-            if mask:
-                table[t.source][t.letter].append((mask, tuple(sorted(t.update)), t.target))
-        self.table = table
+        self.table = compiled.table
 
     # -- concrete ----------------------------------------------------------
 
@@ -270,15 +255,24 @@ class Engine:
         return aset
 
 
-_ENGINES = weakref.WeakKeyDictionary()
-
-
 def engine_for(aut: RegisterAutomaton) -> Engine:
-    eng = _ENGINES.get(aut)
-    if eng is None:
-        eng = Engine(aut)
-        _ENGINES[aut] = eng
-    return eng
+    """The one Engine of `aut`, built on first use and kept on its compiled
+    form, so it lives exactly as long as the automaton does."""
+    compiled = aut.compiled
+    if compiled.engine is None:
+        compiled.engine = Engine(aut)
+    return compiled.engine
+
+
+def bfs_path(parents: dict, node):
+    """(root, steps) of a breadth-first search's `parents` map, in which each
+    reached node maps to (its parent, the step taken) and each root to None."""
+    steps = []
+    while parents[node] is not None:
+        node, step = parents[node]
+        steps.append(step)
+    steps.reverse()
+    return node, steps
 
 
 # ---------------------------------------------------------------------------

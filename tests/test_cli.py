@@ -42,6 +42,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 3  # caught at parse time with a position
 
+    @pytest.mark.parametrize("guard", [
+        "!" * 3000 + "=r0",
+        "(" * 3000 + "=r0" + ")" * 3000,
+        " | ".join(["=r0"] * 3000),
+        " & ".join(["=r0"] * 3000),
+    ], ids=["not", "parens", "or-chain", "and-chain"])
+    def test_deep_guard_is_a_parse_error(self, capsys, tmp_path, guard):
+        path = tmp_path / "deep.ra"
+        path.write_text("automaton t\nregisters 1\nalphabet a\nlocation q\n"
+                        f"trans q -> q on a when {guard}\n")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert "5:" in err and "deeper than" in err and "Traceback" not in err
+
     def test_sync_dra_witness(self, capsys, chain2_file):
         code, out, _ = run(capsys, "sync-dra", chain2_file)
         assert code == 0

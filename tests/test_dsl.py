@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from regsync.dsl import (
+    MAX_GUARD_DEPTH,
     DslError,
     SourceDocument,
     format_guard,
@@ -46,6 +47,28 @@ class TestGuards:
     def test_unbalanced(self):
         with pytest.raises(DslError):
             parse_guard("(=r0")
+
+    @given(st.lists(st.sampled_from(["!", "(", ")", "&", "|", "=r0", "!=r1", "true", " ",
+                                     "r", "="]), max_size=60).map("".join)
+           | st.text(max_size=20)
+           | st.builds(lambda op, n: op.join(["=r0"] * n), st.sampled_from([" & ", " | "]),
+                       st.integers(1, 400))
+           | st.builds(lambda op, n: op * n + "=r0", st.sampled_from(["!", "(", "!("]),
+                       st.integers(1, 400)))
+    def test_any_text_parses_or_raises_dsl_error(self, text):
+        try:
+            parse_guard(text)
+        except DslError:
+            pass
+
+    def test_depth_cap_is_exact(self):
+        assert parse_guard("!" * (MAX_GUARD_DEPTH - 1) + "=r0")
+        with pytest.raises(DslError) as err:
+            parse_guard("!" * MAX_GUARD_DEPTH + "=r0", line=4, base_col=10)
+        assert (err.value.diagnostics[0].line, err.value.diagnostics[0].column) == (4, 11)
+        assert parse_guard("(" * MAX_GUARD_DEPTH + "=r0" + ")" * MAX_GUARD_DEPTH) == Eq(0)
+        with pytest.raises(DslError):
+            parse_guard("(" * (MAX_GUARD_DEPTH + 1) + "=r0" + ")" * (MAX_GUARD_DEPTH + 1))
 
     @given(st.integers(0, 10**6))
     def test_format_parse_roundtrip(self, seed):

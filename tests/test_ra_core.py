@@ -15,6 +15,7 @@ from regsync.ra import (
     completeness_gap,
     determinism_conflict,
     eval_constraint,
+    guard_mask,
     is_complete,
     is_deterministic,
     or_,
@@ -55,6 +56,22 @@ class TestEvalConstraint:
         pi = dict(zip(values, image))
         assert eval_constraint(guard, valuation, datum) == eval_constraint(
             guard, tuple(pi[v] for v in valuation), pi[datum])
+
+
+def realize(sigma, k):
+    """A concrete (valuation, datum) whose atom assignment is `sigma`: the
+    registers in sigma hold the datum 0, the others distinct nonzero data."""
+    return tuple(0 if sigma >> j & 1 else j + 1 for j in range(k)), 0
+
+
+class TestGuardMask:
+    @given(st.integers(0, 3), st.integers(0, 10**6))
+    def test_bits_agree_with_concrete_evaluation(self, k, seed):
+        guard = random_guard(random.Random(seed), k, depth=4)
+        mask = guard_mask(guard, k)
+        assert mask >> (1 << k) == 0
+        for sigma in range(1 << k):
+            assert bool(mask >> sigma & 1) == eval_constraint(guard, *realize(sigma, k))
 
 
 class TestApplyUpdate:
@@ -117,6 +134,25 @@ def brute_force_cells(aut, pool):
     return counts
 
 
+def first_gap_and_conflict(aut):
+    """The first uncovered (location, letter, sigma) and the first
+    (location, letter, sigma, i, j) with two enabled transitions i < j, in
+    location, letter, sigma order, by concrete evaluation."""
+    gap = conflict = None
+    for loc in range(len(aut.locations)):
+        for letter in range(len(aut.alphabet)):
+            for sigma in range(1 << aut.registers):
+                valuation, datum = realize(sigma, aut.registers)
+                enabled = [i for i, t in enumerate(aut.transitions)
+                           if t.source == loc and t.letter == letter
+                           and eval_constraint(t.guard, valuation, datum)]
+                if gap is None and not enabled:
+                    gap = (loc, letter, sigma)
+                if conflict is None and len(enabled) > 1:
+                    conflict = (loc, letter, sigma, enabled[0], enabled[1])
+    return gap, conflict
+
+
 class TestCompletenessDeterminism:
     def test_chain_is_complete_deterministic(self):
         from regsync.gadgets import gen_chain_dra
@@ -152,6 +188,12 @@ class TestCompletenessDeterminism:
             counts = brute_force_cells(aut, range(k + 1))
             assert is_complete(aut) == all(n >= 1 for n in counts.values())
             assert is_deterministic(aut) == all(n <= 1 for n in counts.values())
+            holed = RegisterAutomaton(aut.name, aut.locations, k, aut.alphabet,
+                                      tuple(t for t in aut.transitions if rng.random() < 0.7))
+            for case in (aut, holed):
+                gap, conflict = first_gap_and_conflict(case)
+                assert completeness_gap(case) == gap
+                assert determinism_conflict(case) == conflict
 
     def test_determinism_witness(self):
         aut = automaton("nd", ["q0", "q1"], 1, ["a"],
@@ -167,7 +209,6 @@ class TestCompletenessDeterminism:
                                 (mk_transition(0, 0, TRUE, (), 0),))
         with pytest.raises(ResourceCapError):
             is_complete(aut)
-        assert is_complete(aut, cap=9)
 
 
 class TestCompleteWithSink:

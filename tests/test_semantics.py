@@ -237,6 +237,21 @@ class TestEngineCache:
 
         assert engine_for(aut) is engine_for(aut)
 
+    def test_automaton_and_engine_are_freed_together(self):
+        import gc
+        import weakref
+
+        from regsync.semantics import engine_for
+
+        refs = []
+        for n in (1, 2):
+            aut = gen_chain_dra(n)
+            abstract_run(aut, ((0, FRESH),))
+            refs.append((weakref.ref(aut), weakref.ref(engine_for(aut))))
+        del aut
+        gc.collect()
+        assert all(aut_ref() is None and eng_ref() is None for aut_ref, eng_ref in refs)
+
 
 class TestDeterministicShrinking:
     def test_post_never_splits_deterministic_sets(self):
