@@ -89,6 +89,11 @@ def _emit(report: Report, fmt: str, started: float) -> int:
     return report.exit_code
 
 
+def _max_nodes(args) -> int:
+    """--max-nodes if given (0 included), else REGSYNC_MAX_NODES or the default."""
+    return nra.default_max_nodes() if args.max_nodes is None else args.max_nodes
+
+
 def _search_report(command, aut, outcome, negative_text) -> Report:
     match outcome:
         case nra.Witness(word=word, explored=explored):
@@ -114,7 +119,7 @@ def _cmd_validate(args) -> Report:
 def _cmd_sync_dra(args) -> Report:
     aut = _load(args.file)
     try:
-        word = dra.synchronizing_word_dra(aut, max_nodes=args.max_nodes or nra.default_max_nodes())
+        word = dra.synchronizing_word_dra(aut, max_nodes=_max_nodes(args))
     except dra.InconclusiveError as err:
         return Report("sync-dra", "INCONCLUSIVE", EXIT_INCONCLUSIVE,
                       stats={"explored": err.explored})
@@ -173,7 +178,9 @@ def _cmd_run(args) -> Report:
         if datum not in order:
             order.append(datum)
     lines = []
-    for loc, values in aset.configs:
+    # Location, then word data before `?` blocks, each ascending.
+    for loc, values in sorted(aset.configs, key=lambda c: (
+            c[0], tuple((v < 0, v if v >= 0 else -1 - v) for v in c[1]))):
         shown = [str(order[v]) if v >= 0 else f"?{-1 - v}" for v in values]
         lines.append(f"({aut.locations[loc]}, ({', '.join(shown)}))")
     outcome = "synchronized" if is_synchronized(aset) else f"{len(aset.configs)} successor(s)"
@@ -184,7 +191,7 @@ def _cmd_oracle(args) -> Report:
     aut = _load(args.file)
     pool = args.pool if args.pool is not None else args.max_len
     params = oracle.OracleParams(args.max_len, pool,
-                                 max_nodes=args.max_nodes or nra.default_max_nodes())
+                                 max_nodes=_max_nodes(args))
     length = oracle.oracle_min_length(aut, params)
     if length is None:
         return Report("oracle", "no word within bounds", EXIT_NEGATIVE)

@@ -126,6 +126,8 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
     the extensions compose.  Exhausting the finite extension space proves no
     shrink word exists; exceeding `max_nodes` raises InconclusiveError.
     """
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     _require_dra(aut)
     eng = engine_for(aut)
     k = aut.registers
@@ -149,12 +151,13 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
             current.word_data_count)
         found = None
         start = (current, sub)
-        seen = {start}
-        queue = deque([(start, ())])
+        parents = {start: None}
+        queue = deque([start])
         while queue:
-            (aset, asub), path = queue.popleft()
+            state = queue.popleft()
+            aset, asub = state
             if not any(_dirty(c) for c in asub.configs):
-                found = (path, aset)
+                found = state
                 break
             moves = list(range(aset.word_data_count))
             if aset.word_data_count < k:
@@ -165,18 +168,18 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
                     if explored > max_nodes:
                         raise InconclusiveError(
                             f"shrink search exceeded {max_nodes} nodes", explored)
-                    state = (eng.abstract_post(aset, letter, choice),
-                             eng.abstract_post(asub, letter, choice))
-                    if state in seen:
+                    nxt = (eng.abstract_post(aset, letter, choice),
+                           eng.abstract_post(asub, letter, choice))
+                    if nxt in parents:
                         continue
-                    seen.add(state)
-                    queue.append((state, path + ((letter, choice),)))
+                    parents[nxt] = (state, (letter, choice))
+                    queue.append(nxt)
         if found is None:
             # The finite extension space is exhausted: no word over <= k data
             # cleans this location, hence no shrink word and no sync word.
             return NotShrinkable(loc0)
-        path, current = found
-        choices.extend(path)
+        choices.extend(bfs_path(parents, found)[1])
+        current = found[0]
     word = instantiate_choice_word(tuple(choices), range(k))
     residual = frozenset((loc, values) for loc, values in current.configs)
     return ShrinkResult(word, residual)

@@ -75,6 +75,8 @@ class _Budget:
     __slots__ = ("left", "spent")
 
     def __init__(self, max_nodes: int):
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.left = max_nodes
         self.spent = 0
 

@@ -33,6 +33,10 @@ class OracleParams:
     max_nodes: int = DEFAULT_ORACLE_NODES
     concrete_enumeration: bool = False
 
+    def __post_init__(self):
+        if self.max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+
 
 @dataclass(frozen=True)
 class OracleSearch:

@@ -23,6 +23,9 @@ from .ra import RegisterAutomaton, StructuralError
 
 FRESH = -1
 
+# Entries an Engine's successor memo may hold before it is cleared.
+SUCCESSOR_MEMO_CAP = 100_000
+
 
 def seen(i: int) -> int:
     if i < 0:
@@ -94,20 +97,13 @@ def instantiate_choice_word(cword, pool) -> tuple:
 
 @dataclass(frozen=True)
 class AbstractConfigSet:
-    configs: tuple  # sorted tuple of (location, values-tuple)
+    # (location, values) pairs, each with its blocks numbered in first-
+    # occurrence order, without duplicates, in plain tuple order
+    configs: tuple
     word_data_count: int
 
     def __len__(self) -> int:
         return len(self.configs)
-
-
-def _value_key(v: int):
-    return (0, v) if v >= 0 else (1, -1 - v)
-
-
-def _config_key(config):
-    loc, values = config
-    return (loc, tuple(_value_key(v) for v in values))
 
 
 def _canon_values(values) -> tuple:
@@ -127,7 +123,7 @@ def _canon_values(values) -> tuple:
 def canonicalize(aset: AbstractConfigSet) -> AbstractConfigSet:
     """Canonical form: per-config Sym renumbering, dedup, fixed total order."""
     configs = {(loc, _canon_values(values)) for loc, values in aset.configs}
-    return AbstractConfigSet(tuple(sorted(configs, key=_config_key)), aset.word_data_count)
+    return AbstractConfigSet(tuple(sorted(configs)), aset.word_data_count)
 
 
 def is_synchronized(aset: AbstractConfigSet) -> bool:
@@ -172,6 +168,12 @@ class Engine:
         self.n_locations = len(aut.locations)
         self.n_letters = len(aut.alphabet)
         self.table = compiled.table
+        # (letter, input, fresh?) -> {config: its canonical abstract
+        # successors}; the fresh flag matters because a fresh input resolves
+        # symbolic blocks and a seen one never does.  memo_entries counts the
+        # configs over all steps.
+        self.successor_memo = {}
+        self.memo_entries = 0
 
     # -- concrete ----------------------------------------------------------
 
@@ -209,11 +211,12 @@ class Engine:
         for loc in range(self.n_locations):
             for rgs in _partitions(self.k):
                 configs.append((loc, tuple(-1 - b for b in rgs)))
-        return AbstractConfigSet(tuple(sorted(configs, key=_config_key)), 0)
+        return AbstractConfigSet(tuple(sorted(configs)), 0)
 
     def abstract_post(self, aset: AbstractConfigSet, letter: int, choice: int) -> AbstractConfigSet:
         m = aset.word_data_count
-        if choice == FRESH:
+        fresh = choice == FRESH
+        if fresh:
             inp = m
             new_m = m + 1
         else:
@@ -221,32 +224,45 @@ class Engine:
                 raise StructuralError(f"Seen({choice}) with only {m} word data introduced")
             inp = choice
             new_m = m
+        step = (letter, inp, fresh)
+        memo = self.successor_memo.get(step)
+        if memo is None:
+            memo = self.successor_memo[step] = {}
+        size = len(memo)
         out = set()
-        for loc, values in aset.configs:
-            if choice == FRESH:
-                # Branch (a): the fresh datum differs from every Sym block;
-                # branches (b): it resolves exactly one block to Word(m).
-                variants = [values]
-                seen_blocks = []
-                for v in values:
-                    if v < 0 and v not in seen_blocks:
-                        seen_blocks.append(v)
-                for b in seen_blocks:
-                    variants.append(tuple(inp if v == b else v for v in values))
-            else:
-                variants = [values]
-            for vals in variants:
-                sigma = 0
-                for j, v in enumerate(vals):
-                    if v == inp:
-                        sigma |= 1 << j
-                for mask, update, target in self.table[loc][letter]:
-                    if mask >> sigma & 1:
-                        nv = list(vals)
-                        for r in update:
-                            nv[r] = inp
-                        out.add((target, _canon_values(nv)))
-        return AbstractConfigSet(tuple(sorted(out, key=_config_key)), new_m)
+        for config in aset.configs:
+            succ = memo.get(config)
+            if succ is None:
+                succ = memo[config] = self._abstract_successors(config, letter, inp, fresh)
+            out.update(succ)
+        self.memo_entries += len(memo) - size
+        if self.memo_entries > SUCCESSOR_MEMO_CAP:
+            self.successor_memo.clear()
+            self.memo_entries = 0
+        return AbstractConfigSet(tuple(sorted(out)), new_m)
+
+    def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> tuple:
+        """The canonical successors of one abstract configuration on input `inp`."""
+        loc, values = config
+        variants = [values]
+        if fresh:
+            # Branch (a): the fresh datum differs from every Sym block;
+            # branches (b): it resolves exactly one block to Word(inp).
+            for b in dict.fromkeys(v for v in values if v < 0):
+                variants.append(tuple(inp if v == b else v for v in values))
+        out = set()
+        for vals in variants:
+            sigma = 0
+            for j, v in enumerate(vals):
+                if v == inp:
+                    sigma |= 1 << j
+            for mask, update, target in self.table[loc][letter]:
+                if mask >> sigma & 1:
+                    nv = list(vals)
+                    for r in update:
+                        nv[r] = inp
+                    out.add((target, _canon_values(nv)))
+        return tuple(out)
 
     def abstract_run(self, cword, start: Optional[AbstractConfigSet] = None) -> AbstractConfigSet:
         aset = self.abstract_initial() if start is None else start

@@ -153,6 +153,15 @@ class TestOtherCommands:
         assert code == 0
         assert "successor(s)" in out
 
+    def test_run_prints_in_display_order(self, capsys, chain2_file):
+        # location, then word data before `?` blocks, each ascending
+        code, out, _ = run(capsys, "run", chain2_file, "--word", "a:1")
+        assert code == 0
+        assert out.splitlines() == [
+            "(l1, (1, 1))", "(l1, (1, ?0))", "(l1', (1, 1))", "(l1', (1, ?0))",
+            "(l2, (1, 1))", "(l2, (1, ?0))", "(l2, (?0, 1))", "(synch, (1, 1))",
+            "(l2', (1, 1))", "(l2', (1, ?0))", "(l2', (?0, 1))", "11 successor(s)"]
+
     def test_oracle(self, capsys, chain2_file):
         code, out, _ = run(capsys, "oracle", chain2_file, "--max-len", "3")
         assert code == 0
@@ -184,6 +193,28 @@ class TestOtherCommands:
         monkeypatch.setenv("REGSYNC_MAX_NODES", "3")
         code, _, _ = run(capsys, "sync-bounded", fig4_file, "--max-len", "3")
         assert code == 2
+
+    def test_zero_node_budget_is_honoured(self, capsys, chain2_file):
+        code, out, _ = run(capsys, "sync-dra", chain2_file, "--max-nodes", "0")
+        assert code == 2 and "INCONCLUSIVE" in out
+        code, _, err = run(capsys, "oracle", chain2_file, "--max-len", "3", "--max-nodes", "0")
+        assert code == 2 and "exceeded 0 nodes" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sync-dra", "chain2"),
+        ("oracle", "chain2", "--max-len", "3"),
+        ("sync-bounded", "fig4", "--max-len", "3"),
+        ("sync-bounded", "fig4", "--max-len", "3", "--bfs"),
+    ], ids=["sync-dra", "oracle", "sync-bounded", "sync-bounded-bfs"])
+    def test_negative_node_budget_is_a_usage_error(self, capsys, chain2_file, fig4_file,
+                                                    monkeypatch, argv):
+        files = {"chain2": chain2_file, "fig4": fig4_file}
+        argv = [files.get(a, a) for a in argv]
+        code, _, err = run(capsys, *argv, "--max-nodes", "-1")
+        assert code == 3 and "max_nodes must be >= 0" in err
+        monkeypatch.setenv("REGSYNC_MAX_NODES", "-1")
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "max_nodes must be >= 0" in err
 
     def test_oracle_jobs_pool(self, capsys, chain2_file):
         code, out, _ = run(capsys, "--jobs", "2", "oracle", chain2_file,

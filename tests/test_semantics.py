@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from regsync import semantics
 from regsync.gadgets import gen_chain_dra
 from regsync.ra import TRUE, Eq, mk_transition, RegisterAutomaton
 from regsync.semantics import (
@@ -228,6 +229,70 @@ class TestAbstractConcreteCorrespondence:
                                 (mk_transition(0, 0, Eq(0), {0}, 1),))
         for cword in all_choice_words(1, 3):
             check_correspondence(aut, cword)
+
+
+@st.composite
+def choice_words(draw, n_letters, max_len):
+    """A valid choice word: Seen(i) only after i + 1 fresh data."""
+    out = []
+    m = 0
+    for _ in range(draw(st.integers(0, max_len))):
+        choice = draw(st.sampled_from([FRESH, *range(m)]))
+        m += choice == FRESH
+        out.append((draw(st.integers(0, n_letters - 1)), choice))
+    return tuple(out)
+
+
+def random_engine_and_word(data, max_len=3):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    aut = random_complete_automaton(rng, rng.randint(1, 3), data.draw(st.integers(0, 3)),
+                                    rng.randint(1, 2))
+    return aut, data.draw(choice_words(len(aut.alphabet), max_len))
+
+
+def memo_size(eng):
+    return sum(len(configs) for configs in eng.successor_memo.values())
+
+
+class TestSuccessorMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_memo_hits_equal_misses(self, data):
+        aut, cword = random_engine_and_word(data)
+        eng = Engine(aut)
+        first = eng.abstract_run(cword)
+        filled = memo_size(eng)
+        assert eng.abstract_run(cword) == first  # every step a memo hit
+        assert memo_size(eng) == filled == eng.memo_entries
+        assert Engine(aut).abstract_run(cword) == first
+        check_correspondence(aut, cword)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_post_is_canonical(self, data):
+        aut, cword = random_engine_and_word(data, max_len=4)
+        eng = Engine(aut)
+        aset = eng.abstract_initial()
+        assert canonicalize(aset) == aset
+        for letter, choice in cword:
+            aset = eng.abstract_post(aset, letter, choice)
+            assert canonicalize(aset) == aset
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        aut = random_complete_automaton(random.Random(3), 3, 2, 2)
+        cword = tuple((i % 2, FRESH) for i in range(40))
+        expected = [Engine(aut).abstract_run(cword[:n]) for n in range(len(cword) + 1)]
+        monkeypatch.setattr(semantics, "SUCCESSOR_MEMO_CAP", 50)
+        eng = Engine(aut)
+        aset = eng.abstract_initial()
+        cleared = False
+        for n, (letter, choice) in enumerate(cword, 1):
+            before = memo_size(eng)
+            aset = eng.abstract_post(aset, letter, choice)
+            cleared |= memo_size(eng) < before
+            assert memo_size(eng) == eng.memo_entries <= 50
+            assert aset == expected[n]
+        assert cleared
 
 
 class TestEngineCache:
