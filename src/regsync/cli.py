@@ -3,7 +3,8 @@
 Exit codes: 0 decided/produced, 1 negative decision, 2 inconclusive or
 budget exhausted, 3 usage or parse error.  Reports print as text or, with
 --format json, as {command, outcome, witness?, stats{explored, depth,
-seconds}}.  REGSYNC_MAX_NODES sets the default node budget.
+seconds}}; an inconclusive sync-dra adds stats.phase, the search that ran
+out ("shrink" or "merge").  REGSYNC_MAX_NODES sets the default node budget.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _cmd_sync_dra(args) -> Report:
         word = dra.synchronizing_word_dra(aut, max_nodes=_max_nodes(args))
     except dra.InconclusiveError as err:
         return Report("sync-dra", "INCONCLUSIVE", EXIT_INCONCLUSIVE,
-                      stats={"explored": err.explored})
+                      stats={"explored": err.explored, "phase": err.phase})
     if word is None:
         return Report("sync-dra", "NO", EXIT_NEGATIVE)
     return Report("sync-dra", "witness", EXIT_OK, format_word(aut, word),

@@ -6,8 +6,11 @@ necessary for synchronization; (2) a shrink phase collapsing the infinite
 initial set L x D^k to a finite residual over at most k data, certified by
 the abstract semantics; (3) iterated pairwise merging over a canonical
 2k+1-datum pool, sound because any mergeable pair is mergeable within such a
-pool.  Also houses the classical DFA pairwise algorithm and the 1-register
-decision procedure via the DFA reduction over a 3-datum pool.
+pool.  A pair holds at most 2k data and every datum it does not hold acts
+alike, so the pair graph is unchanged by any bijection of the pool: each
+merge is a breadth-first search over pairs up to that bijection, under a
+per-call node budget.  Also houses the classical DFA pairwise algorithm and
+the 1-register decision procedure via the DFA reduction over a 3-datum pool.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ DEFAULT_SHRINK_NODES = 1_000_000
 
 
 class InconclusiveError(RuntimeError):
-    """Search budget exhausted without an answer either way."""
+    """Search budget exhausted without an answer either way; `phase` names
+    the search that ran out: "shrink" or "merge"."""
 
-    def __init__(self, message: str, explored: int):
+    def __init__(self, message: str, explored: int, phase: str):
         super().__init__(message)
         self.explored = explored
+        self.phase = phase
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
                     explored += 1
                     if explored > max_nodes:
                         raise InconclusiveError(
-                            f"shrink search exceeded {max_nodes} nodes", explored)
+                            f"shrink search exceeded {max_nodes} nodes", explored, "shrink")
                     nxt = (eng.abstract_post(aset, letter, choice),
                            eng.abstract_post(asub, letter, choice))
                     if nxt in parents:
@@ -185,15 +190,22 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
     return ShrinkResult(word, residual)
 
 
-def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool) -> Optional[tuple]:
+def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
+                        max_nodes: int = DEFAULT_SHRINK_NODES) -> Optional[tuple]:
     """Shortest word over alphabet x pool merging the two configurations.
 
-    Breadth-first over the pair graph, expanding inputs in lexicographic
-    (letter, datum) order, so among shortest merging words the
+    Breadth-first over pairs of configurations up to a bijection of the
+    pool: two pairs are one node when a renaming of data maps one onto the
+    other, and a step reads either a datum the pair holds or the first pool
+    datum it does not (every unheld datum acts alike).  Inputs are expanded
+    in (letter, pool position) order, so among shortest merging words the
     lexicographically least is returned.  None when the merged diagonal is
     unreachable, which is a proof that the pair cannot be merged at all when
-    |pool| = 2k+1 and both configurations' data lie in the pool.
+    |pool| = 2k+1 and both configurations' data lie in the pool.  Queuing
+    more than `max_nodes` unmerged nodes raises InconclusiveError.
     """
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     _require_dra(aut)
     pool = list(pool)
     k = aut.registers
@@ -202,26 +214,47 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool) -> Optional[tuple]
     for q in (q1, q2):
         if any(d not in pool for d in q[1]):
             raise ValueError(f"configuration data {q[1]} not within the pool")
-    return _merge(engine_for(aut), q1, q2, pool)
+    return _merge(engine_for(aut), q1, q2, pool, max_nodes)
 
 
-def _merge(eng: Engine, q1, q2, pool) -> Optional[tuple]:
-    start = frozenset((q1, q2))
-    if len(start) == 1:
+def _orbit_key(pair) -> tuple:
+    """Equal for two unordered pairs exactly when a bijection of the data maps
+    one onto the other: the least, over both orderings, of the locations and
+    the values renumbered in first-occurrence order."""
+    keys = []
+    for ordered in (pair, pair[::-1]):
+        ids = {}
+        keys.append(tuple((loc, tuple(ids.setdefault(v, len(ids)) for v in values))
+                          for loc, values in ordered))
+    return min(keys)
+
+
+def _merge(eng: Engine, q1, q2, pool, max_nodes: int) -> Optional[tuple]:
+    if q1 == q2:
         return ()
-    parents = {start: None}
-    queue = deque([start])
+    key = _orbit_key((q1, q2))
+    parents = {key: None}
+    queue = deque([((q1, q2), key)])
     while queue:
-        pair = queue.popleft()
+        pair, key = queue.popleft()
+        held = {d for _, values in pair for d in values}
+        free = next(d for d in pool if d not in held)
+        data = [d for d in pool if d in held or d == free]
         for letter in range(eng.n_letters):
-            for datum in pool:
-                nxt = frozenset(eng.post_config(q, letter, datum)[0] for q in pair)
-                if nxt in parents:
+            for datum in data:
+                c1 = eng.post_config(pair[0], letter, datum)[0]
+                c2 = eng.post_config(pair[1], letter, datum)[0]
+                if c1 == c2:
+                    return tuple(bfs_path(parents, key)[1]) + ((letter, datum),)
+                nxt = (c1, c2)
+                nkey = _orbit_key(nxt)
+                if nkey in parents:
                     continue
-                parents[nxt] = (pair, (letter, datum))
-                if len(nxt) == 1:
-                    return tuple(bfs_path(parents, nxt)[1])
-                queue.append(nxt)
+                if len(parents) > max_nodes:
+                    raise InconclusiveError(
+                        f"merge search exceeded {max_nodes} nodes", len(parents), "merge")
+                parents[nkey] = (key, (letter, datum))
+                queue.append((nxt, nkey))
     return None
 
 
@@ -229,8 +262,11 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
                            max_nodes: int = DEFAULT_SHRINK_NODES) -> Optional[tuple]:
     """A synchronizing data word with at most 2k+1 distinct data, or None.
 
-    Shrink phase over data {0..k-1}, then pairwise merging over {0..2k}.
-    The result is re-checked against the abstract semantics before return.
+    Shrink phase over data {0..k-1}, then pairwise merging over {0..2k},
+    each merge a search over pairs up to data bijection.  `max_nodes` bounds
+    the shrink search and, separately, each merge call; past it the search
+    raises InconclusiveError naming its phase.  The result is re-checked
+    against the abstract semantics before return.
     """
     _require_dra(aut)
     eng = engine_for(aut)
@@ -242,7 +278,7 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
     word = list(shrink.word)
     configs = sorted(shrink.residual)
     while len(configs) > 1:
-        merged = _merge(eng, configs[0], configs[1], pool)
+        merged = _merge(eng, configs[0], configs[1], pool, max_nodes)
         if merged is None:
             return None
         word.extend(merged)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from regsync.ra import (
     TRUE,
@@ -15,6 +16,7 @@ from regsync.ra import (
     mk_transition,
     neq,
 )
+from regsync.semantics import bfs_path
 
 
 def automaton(name, locations, registers, alphabet, transitions, acceptance=None):
@@ -142,3 +144,25 @@ def random_guard(rng: random.Random, k, depth=2):
     if rng.random() < 0.5:
         return And(random_guard(rng, k, depth - 1), random_guard(rng, k, depth - 1))
     return Not(random_guard(rng, k, depth - 1))
+
+
+def concrete_merge(eng, q1, q2, pool):
+    """Reference for dra._merge: breadth-first over concrete unordered pairs,
+    trying every pool datum at every step, with no node budget."""
+    start = frozenset((q1, q2))
+    if len(start) == 1:
+        return ()
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for letter in range(eng.n_letters):
+            for datum in pool:
+                nxt = frozenset(eng.post_config(q, letter, datum)[0] for q in pair)
+                if nxt in parents:
+                    continue
+                parents[nxt] = (pair, (letter, datum))
+                if len(nxt) == 1:
+                    return tuple(bfs_path(parents, nxt)[1])
+                queue.append(nxt)
+    return None

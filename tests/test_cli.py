@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -16,8 +17,6 @@ def chain2_file(tmp_path):
 
 @pytest.fixture
 def fig4_file():
-    import pathlib
-
     return str(pathlib.Path(__file__).parent / "data" / "fig4.ra")
 
 
@@ -199,6 +198,19 @@ class TestOtherCommands:
         assert code == 2 and "INCONCLUSIVE" in out
         code, _, err = run(capsys, "oracle", chain2_file, "--max-len", "3", "--max-nodes", "0")
         assert code == 2 and "exceeded 0 nodes" in err
+
+    def test_inconclusive_names_its_phase(self, capsys, chain2_file):
+        # merge_heavy.ra: a 3-register DRA whose shrink needs 51 to 100 nodes
+        # and whose merge then searches a few hundred orbits exhaustively.
+        heavy = str(pathlib.Path(__file__).parent / "data" / "merge_heavy.ra")
+        code, out, _ = run(capsys, "--format", "json", "sync-dra", heavy, "--max-nodes", "100")
+        payload = json.loads(out)
+        assert code == 2 and payload["outcome"] == "INCONCLUSIVE"
+        assert payload["stats"]["phase"] == "merge" and payload["stats"]["explored"] == 101
+        code, out, _ = run(capsys, "--format", "json", "sync-dra", chain2_file, "--max-nodes", "0")
+        assert code == 2 and json.loads(out)["stats"]["phase"] == "shrink"
+        code, out, _ = run(capsys, "sync-dra", heavy, "--max-nodes", "1000")
+        assert code == 1 and "NO" in out
 
     @pytest.mark.parametrize("argv", [
         ("sync-dra", "chain2"),

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from regsync import dra
 from regsync.dra import (
     Dfa,
+    InconclusiveError,
     NotShrinkable,
     ShrinkResult,
     dfa_synchronizing_word,
@@ -13,11 +15,41 @@ from regsync.dra import (
     shrink_word,
     synchronizing_word_dra,
 )
+from regsync.dsl import parse_automaton
 from regsync.gadgets import gen_chain_dra
 from regsync.oracle import OracleParams, oracle_is_synchronizing, oracle_search
 from regsync.ra import TRUE, Eq, RegisterAutomaton, StructuralError, mk_transition, neq
-from regsync.semantics import abstract_run, choice_of_word, is_synchronized, word_data
-from helpers import automaton, random_complete_automaton
+from regsync.semantics import (
+    abstract_run,
+    choice_of_word,
+    engine_for,
+    is_synchronized,
+    word_data,
+)
+from helpers import automaton, concrete_merge, random_complete_automaton
+
+# A 2-register DRA whose shrink needs 6 nodes and whose two merges reach 9
+# and 8 orbits: a budget of 9 is enough per merge call, not for their sum.
+TWO_MERGES = """\
+automaton two_merges
+registers 2
+alphabet a b
+location q0
+location q1
+location q2
+trans q0 -> q1 on a when =r0 & =r1 set r0
+trans q0 -> q0 on a when !=r0 & !=r1 | =r0 & !=r1 | !=r0 & =r1 set *
+trans q0 -> q0 on b when !=r0 & =r1 | =r0 & =r1 set r0
+trans q0 -> q0 on b when !=r0 & !=r1 | =r0 & !=r1
+trans q1 -> q2 on a when true set *
+trans q1 -> q1 on b when !=r0 & !=r1 set r1
+trans q1 -> q2 on b when !=r0 & =r1 | =r0 & =r1
+trans q1 -> q2 on b when =r0 & !=r1
+trans q2 -> q0 on a when true
+trans q2 -> q1 on b when !=r0 & !=r1 | =r0 & =r1 set r0
+trans q2 -> q1 on b when =r0 & !=r1 set *
+trans q2 -> q0 on b when !=r0 & =r1
+"""
 
 
 def never_updating_loop(k=1):
@@ -143,10 +175,40 @@ class TestPairwiseMerge:
                         break
                 if brute is not None:
                     break
-            if best is None:
-                assert brute is None
-            else:
-                assert brute is not None and len(best) == len(brute)
+            # itertools.product enumerates in lexicographic order
+            assert best == brute
+
+    def test_agrees_with_concrete_search(self):
+        rng = random.Random(43)
+        merged = unmergeable = 0
+        for k in (1, 2, 3):
+            for i in range(20):
+                aut = random_complete_automaton(rng, rng.randint(1, 3), k, 2,
+                                                deterministic=True)
+                eng = engine_for(aut)
+                pool = list(range(2 * k + 1))
+                if i % 2:
+                    rng.shuffle(pool)
+                for _ in range(4):
+                    q1, q2 = ((rng.randrange(len(aut.locations)),
+                               tuple(rng.choice(pool) for _ in range(k))) for _ in range(2))
+                    word = pairwise_merge_word(aut, q1, q2, pool)
+                    assert word == concrete_merge(eng, q1, q2, pool)
+                    merged += word is not None
+                    unmergeable += word is None
+        assert merged > 100 and unmergeable > 20
+
+    def test_node_budget(self):
+        # a 3-cycle: the pair (q0, q1) visits three orbits and never merges
+        aut = automaton("cycle", ["q0", "q1", "q2"], 0, ["a"],
+                        [("q0", "a", TRUE, (), "q1"), ("q1", "a", TRUE, (), "q2"),
+                         ("q2", "a", TRUE, (), "q0")])
+        assert pairwise_merge_word(aut, (0, ()), (1, ()), [0], max_nodes=2) is None
+        with pytest.raises(InconclusiveError) as info:
+            pairwise_merge_word(aut, (0, ()), (1, ()), [0], max_nodes=1)
+        assert info.value.phase == "merge" and info.value.explored == 2
+        with pytest.raises(ValueError):
+            pairwise_merge_word(aut, (0, ()), (1, ()), [0], max_nodes=-1)
 
 
 class TestSynchronizingWordDra:
@@ -175,6 +237,42 @@ class TestSynchronizingWordDra:
             if word is not None:
                 assert is_synchronized(abstract_run(aut, choice_of_word(word)))
                 assert len(word_data(word)) <= 2 * aut.registers + 1
+
+
+    def test_witness_agrees_with_concrete_merge(self, monkeypatch):
+        rng = random.Random(47)
+        auts = [random_complete_automaton(rng, rng.randint(1, 4), k, 2, deterministic=True)
+                for k in (1, 2, 3) for _ in range(15)]
+        words = [synchronizing_word_dra(aut) for aut in auts]
+        assert sum(w is not None for w in words) > 10 and None in words
+        monkeypatch.setattr(dra, "_merge", lambda eng, q1, q2, pool, max_nodes:
+                            concrete_merge(eng, q1, q2, pool))
+        assert [synchronizing_word_dra(aut) for aut in auts] == words
+
+    def test_merge_budget_is_per_call(self):
+        aut = parse_automaton(TWO_MERGES)
+        assert synchronizing_word_dra(aut, max_nodes=9) is not None
+        with pytest.raises(InconclusiveError) as info:
+            synchronizing_word_dra(aut, max_nodes=8)
+        assert info.value.phase == "merge" and info.value.explored == 9
+        with pytest.raises(InconclusiveError) as info:
+            synchronizing_word_dra(aut, max_nodes=5)
+        assert info.value.phase == "shrink"
+
+    def test_four_registers_under_budget(self):
+        rng = random.Random(53)
+        outcomes = set()
+        for _ in range(20):
+            aut = random_complete_automaton(rng, rng.randint(2, 5), 4, 2, deterministic=True)
+            try:
+                word = synchronizing_word_dra(aut, max_nodes=1_000)
+            except InconclusiveError as err:
+                outcomes.add(err.phase)
+                continue
+            outcomes.add(word is not None)
+            if word is not None:
+                assert oracle_is_synchronizing(aut, word)
+        assert outcomes >= {True, False}
 
 
 class TestDfa:
