@@ -16,10 +16,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import dra, gadgets, nra, oracle
+from . import dra, gadgets, nra, oracle, semantics
 from .dsl import DslError, SourceDocument, parse_automaton, serialize_automaton
 from .ra import RegisterAutomaton, ResourceCapError, StructuralError, validate
-from .semantics import abstract_run, choice_of_word, is_synchronized
+from .semantics import abstract_run, choice_of_word, is_synchronized, word_data
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -90,11 +90,6 @@ def _emit(report: Report, fmt: str, started: float) -> int:
     return report.exit_code
 
 
-def _max_nodes(args) -> int:
-    """--max-nodes if given (0 included), else REGSYNC_MAX_NODES or the default."""
-    return nra.default_max_nodes() if args.max_nodes is None else args.max_nodes
-
-
 def _search_report(command, aut, outcome, negative_text) -> Report:
     match outcome:
         case nra.Witness(word=word, explored=explored):
@@ -120,7 +115,7 @@ def _cmd_validate(args) -> Report:
 def _cmd_sync_dra(args) -> Report:
     aut = _load(args.file)
     try:
-        word = dra.synchronizing_word_dra(aut, max_nodes=_max_nodes(args))
+        word = dra.synchronizing_word_dra(aut, max_nodes=args.max_nodes)
     except dra.InconclusiveError as err:
         return Report("sync-dra", "INCONCLUSIVE", EXIT_INCONCLUSIVE,
                       stats={"explored": err.explored, "phase": err.phase})
@@ -174,10 +169,7 @@ def _cmd_run(args) -> Report:
     aut = _load(args.file)
     word = parse_word(aut, args.word)
     aset = abstract_run(aut, choice_of_word(word))
-    order = []
-    for _, datum in word:
-        if datum not in order:
-            order.append(datum)
+    order = word_data(word)
     lines = []
     # Location, then word data before `?` blocks, each ascending.
     for loc, values in sorted(aset.configs, key=lambda c: (
@@ -191,8 +183,8 @@ def _cmd_run(args) -> Report:
 def _cmd_oracle(args) -> Report:
     aut = _load(args.file)
     pool = args.pool if args.pool is not None else args.max_len
-    params = oracle.OracleParams(args.max_len, pool,
-                                 max_nodes=_max_nodes(args))
+    max_nodes = semantics.default_max_nodes() if args.max_nodes is None else args.max_nodes
+    params = oracle.OracleParams(args.max_len, pool, max_nodes=max_nodes)
     length = oracle.oracle_min_length(aut, params)
     if length is None:
         return Report("oracle", "no word within bounds", EXIT_NEGATIVE)

@@ -4,7 +4,10 @@ Pipeline: (1) a per-location reachability check for "all registers can be
 updated through transitions firable while the input is fresh", which is
 necessary for synchronization; (2) a shrink phase collapsing the infinite
 initial set L x D^k to a finite residual over at most k data, certified by
-the abstract semantics; (3) iterated pairwise merging over a canonical
+the abstract semantics: each round cleans one location's dirty
+configurations with the breadth-first search over abstract sets that
+length-bounded NRA search also runs (`semantics._search_bfs`), under one
+node budget for all rounds; (3) iterated pairwise merging over a canonical
 2k+1-datum pool, sound because any mergeable pair is mergeable within such a
 pool.  A pair holds at most 2k data and every datum it does not hold acts
 alike, so the pair graph is unchanged by any bijection of the pool: each
@@ -21,17 +24,17 @@ from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete, is_deterministic
 from .semantics import (
-    FRESH,
     AbstractConfigSet,
     Engine,
+    _Budget,
+    _Exhausted,
+    _search_bfs,
     bfs_path,
     choice_of_word,
     engine_for,
     instantiate_choice_word,
     is_synchronized,
 )
-
-DEFAULT_SHRINK_NODES = 1_000_000
 
 
 class InconclusiveError(RuntimeError):
@@ -120,7 +123,11 @@ def _dirty(config) -> bool:
     return any(v < 0 for v in config[1])
 
 
-def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
+def _clean(aset: AbstractConfigSet) -> bool:
+    return not any(_dirty(c) for c in aset.configs)
+
+
+def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     """A data word with at most k distinct data whose abstract post from
     L x D^k contains no symbolic value, or NotShrinkable(location).
 
@@ -128,11 +135,15 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
     location's configurations retain symbolic values, search breadth-first
     for an extension (drawing on at most k data overall) that cleans every
     descendant of that location's dirty configurations; determinism makes
-    the extensions compose.  Exhausting the finite extension space proves no
-    shrink word exists; exceeding `max_nodes` raises InconclusiveError.
+    the extensions compose.  The abstract post maps each configuration on
+    its own, so those dirty configurations alone are the search state
+    (`semantics._search_bfs` with no length bound), and the whole set is
+    then replayed along the extension found.  Exhausting the finite
+    extension space proves no shrink word exists.  One node budget spans
+    all rounds; spending more than `max_nodes` (None: REGSYNC_MAX_NODES or
+    1e6) raises InconclusiveError.
     """
-    if max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    budget = _Budget(max_nodes)
     _require_dra(aut)
     eng = engine_for(aut)
     k = aut.registers
@@ -142,56 +153,34 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: int = DEFAULT_SHRINK_NODES):
             return NotShrinkable(loc)
     current = eng.abstract_initial()
     choices = []
-    explored = 0
-    # Every round consumes at least one budget tick, so the loop terminates
+    # Every round ticks the budget at least once, so the loop terminates
     # even if partial cleans keep re-dirtying locations (worst case it ends
     # in InconclusiveError rather than spinning).
     while True:
-        dirty_locs = sorted({loc for loc, values in current.configs if _dirty((loc, values))})
-        if not dirty_locs:
+        dirty = [c for c in current.configs if _dirty(c)]
+        if not dirty:
             break
-        loc0 = dirty_locs[0]
-        sub = AbstractConfigSet(
-            tuple(c for c in current.configs if c[0] == loc0 and _dirty(c)),
-            current.word_data_count)
-        found = None
-        start = (current, sub)
-        parents = {start: None}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            aset, asub = state
-            if not any(_dirty(c) for c in asub.configs):
-                found = state
-                break
-            moves = list(range(aset.word_data_count))
-            if aset.word_data_count < k:
-                moves.append(FRESH)
-            for letter in range(eng.n_letters):
-                for choice in moves:
-                    explored += 1
-                    if explored > max_nodes:
-                        raise InconclusiveError(
-                            f"shrink search exceeded {max_nodes} nodes", explored, "shrink")
-                    nxt = (eng.abstract_post(aset, letter, choice),
-                           eng.abstract_post(asub, letter, choice))
-                    if nxt in parents:
-                        continue
-                    parents[nxt] = (state, (letter, choice))
-                    queue.append(nxt)
-        if found is None:
+        loc0 = dirty[0][0]  # configs are in tuple order: the least location
+        sub = AbstractConfigSet(tuple(c for c in dirty if c[0] == loc0),
+                                current.word_data_count)
+        try:
+            path = _search_bfs(eng, sub, _clean, None, k, budget)
+        except _Exhausted:
+            raise InconclusiveError(f"shrink search exceeded {budget.limit} nodes",
+                                    budget.spent, "shrink") from None
+        if path is None:
             # The finite extension space is exhausted: no word over <= k data
             # cleans this location, hence no shrink word and no sync word.
             return NotShrinkable(loc0)
-        choices.extend(bfs_path(parents, found)[1])
-        current = found[0]
+        choices.extend(path)
+        current = eng.abstract_run(path, start=current)
     word = instantiate_choice_word(tuple(choices), range(k))
     residual = frozenset((loc, values) for loc, values in current.configs)
     return ShrinkResult(word, residual)
 
 
 def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
-                        max_nodes: int = DEFAULT_SHRINK_NODES) -> Optional[tuple]:
+                        max_nodes: Optional[int] = None) -> Optional[tuple]:
     """Shortest word over alphabet x pool merging the two configurations.
 
     Breadth-first over pairs of configurations up to a bijection of the
@@ -202,10 +191,9 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
     lexicographically least is returned.  None when the merged diagonal is
     unreachable, which is a proof that the pair cannot be merged at all when
     |pool| = 2k+1 and both configurations' data lie in the pool.  Queuing
-    more than `max_nodes` unmerged nodes raises InconclusiveError.
+    more than `max_nodes` (None: REGSYNC_MAX_NODES or 1e6) unmerged nodes
+    raises InconclusiveError.
     """
-    if max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     _require_dra(aut)
     pool = list(pool)
     k = aut.registers
@@ -229,7 +217,8 @@ def _orbit_key(pair) -> tuple:
     return min(keys)
 
 
-def _merge(eng: Engine, q1, q2, pool, max_nodes: int) -> Optional[tuple]:
+def _merge(eng: Engine, q1, q2, pool, max_nodes: Optional[int]) -> Optional[tuple]:
+    budget = _Budget(max_nodes)
     if q1 == q2:
         return ()
     key = _orbit_key((q1, q2))
@@ -250,22 +239,23 @@ def _merge(eng: Engine, q1, q2, pool, max_nodes: int) -> Optional[tuple]:
                 nkey = _orbit_key(nxt)
                 if nkey in parents:
                     continue
-                if len(parents) > max_nodes:
+                if not budget.tick():
                     raise InconclusiveError(
-                        f"merge search exceeded {max_nodes} nodes", len(parents), "merge")
+                        f"merge search exceeded {budget.limit} nodes", budget.spent, "merge")
                 parents[nkey] = (key, (letter, datum))
                 queue.append((nxt, nkey))
     return None
 
 
 def synchronizing_word_dra(aut: RegisterAutomaton,
-                           max_nodes: int = DEFAULT_SHRINK_NODES) -> Optional[tuple]:
+                           max_nodes: Optional[int] = None) -> Optional[tuple]:
     """A synchronizing data word with at most 2k+1 distinct data, or None.
 
     Shrink phase over data {0..k-1}, then pairwise merging over {0..2k},
-    each merge a search over pairs up to data bijection.  `max_nodes` bounds
-    the shrink search and, separately, each merge call; past it the search
-    raises InconclusiveError naming its phase.  The result is re-checked
+    each merge a search over pairs up to data bijection.  `max_nodes`
+    (None: REGSYNC_MAX_NODES or 1e6) bounds the shrink search and,
+    separately, each merge call; past it the search raises
+    InconclusiveError naming its phase.  The result is re-checked
     against the abstract semantics before return.
     """
     _require_dra(aut)

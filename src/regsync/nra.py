@@ -12,31 +12,25 @@ bounded-exact and budget-limited modes exist here.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
-    FRESH,
     AbstractConfigSet,
     Engine,
+    _Budget,
+    _Exhausted,
+    _moves,
     _partitions,
+    _search_bfs,
     bfs_path,
     choice_of_word,
     engine_for,
     instantiate_choice_word,
     is_synchronized,
 )
-
-ENV_MAX_NODES = "REGSYNC_MAX_NODES"
-DEFAULT_MAX_NODES = 1_000_000
-
-
-def default_max_nodes() -> int:
-    value = os.environ.get(ENV_MAX_NODES)
-    return int(value) if value else DEFAULT_MAX_NODES
 
 
 @dataclass(frozen=True)
@@ -63,72 +57,12 @@ class BudgetExhausted:
     explored: int
 
 
-SearchOutcome = object  # Witness | NoneWithinBound | BudgetExhausted
-
-
-def _witness(path, explored: int) -> Witness:
-    cword = tuple(path)
-    return Witness(cword, instantiate_choice_word(cword, range(len(cword))), explored)
-
-
-class _Budget:
-    __slots__ = ("left", "spent")
-
-    def __init__(self, max_nodes: int):
-        if max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
-        self.left = max_nodes
-        self.spent = 0
-
-    def tick(self) -> bool:
-        self.spent += 1
-        self.left -= 1
-        return self.left >= 0
-
-
-def _moves(eng: Engine, aset: AbstractConfigSet, max_data: Optional[int]):
-    choices = list(range(aset.word_data_count))
-    if max_data is None or aset.word_data_count < max_data:
-        choices.append(FRESH)
-    return [(letter, choice) for letter in range(eng.n_letters) for choice in choices]
-
-
-def _search_bfs(eng: Engine, root: AbstractConfigSet, goal: Callable, budget: SearchBudget,
-                min_depth: int):
-    tick = _Budget(budget.max_nodes if budget.max_nodes is not None else default_max_nodes())
-    if min_depth == 0 and goal(root):
-        return _witness((), tick.spent)
-    parents = {root: None}
-    queue = deque([(root, 0)])
-    while queue:
-        aset, depth = queue.popleft()
-        if depth >= budget.max_length:
-            continue
-        for letter, choice in _moves(eng, aset, budget.max_distinct_data):
-            if not tick.tick():
-                return BudgetExhausted(tick.spent)
-            nxt = eng.abstract_post(aset, letter, choice)
-            if nxt in parents:
-                continue
-            parents[nxt] = (aset, (letter, choice))
-            if depth + 1 >= min_depth and goal(nxt):
-                return _witness(bfs_path(parents, nxt)[1], tick.spent)
-            queue.append((nxt, depth + 1))
-    return NoneWithinBound(tick.spent)
-
-
-class _Exhausted(Exception):
-    pass
-
-
-def _search_iddfs(eng: Engine, root: AbstractConfigSet, goal: Callable, budget: SearchBudget,
-                  min_depth: int):
-    """Iterative deepening; memo keeps the best remaining depth per state so a
-    revisit is pruned only when an earlier visit had at least as much depth
-    left."""
-    tick = _Budget(budget.max_nodes if budget.max_nodes is not None else default_max_nodes())
-    if min_depth == 0 and goal(root):
-        return _witness((), tick.spent)
+def _search_iddfs(eng: Engine, root: AbstractConfigSet, goal, max_length: int,
+                  max_data: Optional[int], budget: _Budget) -> Optional[list]:
+    """Iterative deepening with _search_bfs's contract, except that the path
+    found need not be the lexicographically least; memo keeps the best
+    remaining depth per state so a revisit is pruned only when an earlier
+    visit had at least as much depth left."""
 
     def dls(aset, remaining, memo, path):
         if memo.get(aset, -1) >= remaining:
@@ -136,12 +70,12 @@ def _search_iddfs(eng: Engine, root: AbstractConfigSet, goal: Callable, budget: 
         memo[aset] = remaining
         if remaining == 0:
             return None
-        for letter, choice in _moves(eng, aset, budget.max_distinct_data):
-            if not tick.tick():
+        for letter, choice in _moves(eng, aset, max_data):
+            if not budget.tick():
                 raise _Exhausted
             nxt = eng.abstract_post(aset, letter, choice)
             path.append((letter, choice))
-            if len(path) >= min_depth and goal(nxt):
+            if goal(nxt):
                 return list(path)
             hit = dls(nxt, remaining - 1, memo, path)
             if hit is not None:
@@ -149,14 +83,28 @@ def _search_iddfs(eng: Engine, root: AbstractConfigSet, goal: Callable, budget: 
             path.pop()
         return None
 
+    for limit in range(1, max_length + 1):
+        hit = dls(root, limit, {}, [])
+        if hit is not None:
+            return hit
+    return None
+
+
+def _search(eng: Engine, root: AbstractConfigSet, goal, budget: SearchBudget, bfs: bool,
+            empty_word: bool):
+    """The outcome of a search from `root` for a set satisfying `goal`;
+    `empty_word` lets the empty word be the witness."""
+    tick = _Budget(budget.max_nodes)
+    search = _search_bfs if bfs else _search_iddfs
     try:
-        for limit in range(max(min_depth, 1), budget.max_length + 1):
-            hit = dls(root, limit, {}, [])
-            if hit is not None:
-                return _witness(hit, tick.spent)
+        path = () if empty_word and goal(root) else search(
+            eng, root, goal, budget.max_length, budget.max_distinct_data, tick)
     except _Exhausted:
         return BudgetExhausted(tick.spent)
-    return NoneWithinBound(tick.spent)
+    if path is None:
+        return NoneWithinBound(tick.spent)
+    cword = tuple(path)
+    return Witness(cword, instantiate_choice_word(cword, range(len(cword))), tick.spent)
 
 
 def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool = False):
@@ -167,8 +115,7 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
     if budget.max_length < 1:
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
     eng = engine_for(aut)
-    search = _search_bfs if bfs else _search_iddfs
-    return search(eng, eng.abstract_initial(), is_synchronized, budget, min_depth=1)
+    return _search(eng, eng.abstract_initial(), is_synchronized, budget, bfs, empty_word=False)
 
 
 def _universality_root(eng: Engine, initial: int) -> AbstractConfigSet:
@@ -190,10 +137,9 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
     def rejected(aset: AbstractConfigSet) -> bool:
         return all(loc not in accepting for loc, _ in aset.configs)
 
-    budget = SearchBudget(bound, None, max_nodes)
-    search = _search_bfs if bfs else _search_iddfs
     root = _universality_root(eng, aut.acceptance.initial)
-    return search(eng, root, rejected, budget, min_depth=0)
+    return _search(eng, root, rejected, SearchBudget(bound, None, max_nodes), bfs,
+                   empty_word=True)
 
 
 def accepts(aut: RegisterAutomaton, word) -> bool:
@@ -225,7 +171,7 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     eng = engine_for(aut)
     acc = aut.acceptance
     k = aut.registers
-    tick = _Budget(max_nodes if max_nodes is not None else default_max_nodes())
+    tick = _Budget(max_nodes)
 
     roots = [(acc.initial, rgs) for rgs in _partitions(k)]  # pairwise distinct
     parents = dict.fromkeys(roots)

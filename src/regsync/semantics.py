@@ -16,8 +16,10 @@ initial data interact with the word.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .ra import RegisterAutomaton, StructuralError
 
@@ -35,14 +37,6 @@ def seen(i: int) -> int:
 
 def sym(block: int) -> int:
     return -1 - block
-
-
-def is_sym(value: int) -> bool:
-    return value < 0
-
-
-def sym_block(value: int) -> int:
-    return -1 - value
 
 
 def word_data(word) -> list:
@@ -192,16 +186,11 @@ class Engine:
                 out.append((target, tuple(nv)))
         return out
 
-    def post_set_step(self, configs, letter: int, datum: int) -> frozenset:
-        out = set()
-        for config in configs:
-            out.update(self.post_config(config, letter, datum))
-        return frozenset(out)
-
     def post_set(self, configs, word) -> frozenset:
         current = frozenset(configs)
         for letter, datum in word:
-            current = self.post_set_step(current, letter, datum)
+            current = frozenset(succ for config in current
+                                for succ in self.post_config(config, letter, datum))
         return current
 
     # -- abstract ----------------------------------------------------------
@@ -289,6 +278,78 @@ def bfs_path(parents: dict, node):
         steps.append(step)
     steps.reverse()
     return node, steps
+
+
+# ---------------------------------------------------------------------------
+# Breadth-first search over abstract configuration sets
+
+ENV_MAX_NODES = "REGSYNC_MAX_NODES"
+DEFAULT_MAX_NODES = 1_000_000
+
+
+def default_max_nodes() -> int:
+    value = os.environ.get(ENV_MAX_NODES)
+    return int(value) if value else DEFAULT_MAX_NODES
+
+
+class _Exhausted(Exception):
+    """A search spent its node budget."""
+
+
+class _Budget:
+    """A node budget; None means REGSYNC_MAX_NODES or DEFAULT_MAX_NODES.
+    `tick` counts one node and is False once more than `limit` are counted."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, max_nodes: Optional[int]):
+        if max_nodes is None:
+            max_nodes = default_max_nodes()
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+        self.limit = max_nodes
+        self.spent = 0
+
+    def tick(self) -> bool:
+        self.spent += 1
+        return self.spent <= self.limit
+
+
+def _moves(eng: Engine, aset: AbstractConfigSet, max_data: Optional[int]):
+    choices = list(range(aset.word_data_count))
+    if max_data is None or aset.word_data_count < max_data:
+        choices.append(FRESH)
+    return [(letter, choice) for letter in range(eng.n_letters) for choice in choices]
+
+
+def _search_bfs(eng: Engine, root: AbstractConfigSet, goal: Callable,
+                max_length: Optional[int], max_data: Optional[int],
+                budget: _Budget) -> Optional[list]:
+    """The lexicographically least shortest nonempty move path from `root` to
+    a set satisfying `goal`, of at most `max_length` moves and `max_data`
+    word data (None: unbounded), or None when there is none.
+
+    Moves are expanded in (letter, choice) order, first in first out, and
+    each set is queued once; every expanded move ticks `budget`, and the
+    search raises _Exhausted once the budget is spent.
+    """
+    parents = {root: None}
+    queue = deque([(root, 0)])
+    while queue:
+        aset, depth = queue.popleft()
+        if max_length is not None and depth >= max_length:
+            continue
+        for letter, choice in _moves(eng, aset, max_data):
+            if not budget.tick():
+                raise _Exhausted
+            nxt = eng.abstract_post(aset, letter, choice)
+            if nxt in parents:
+                continue
+            parents[nxt] = (aset, (letter, choice))
+            if goal(nxt):
+                return bfs_path(parents, nxt)[1]
+            queue.append((nxt, depth + 1))
+    return None
 
 
 # ---------------------------------------------------------------------------

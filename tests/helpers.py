@@ -16,7 +16,13 @@ from regsync.ra import (
     mk_transition,
     neq,
 )
-from regsync.semantics import bfs_path
+from regsync.semantics import (
+    FRESH,
+    AbstractConfigSet,
+    bfs_path,
+    engine_for,
+    instantiate_choice_word,
+)
 
 
 def automaton(name, locations, registers, alphabet, transitions, acceptance=None):
@@ -116,8 +122,6 @@ def enumerate_1dras(n_locations, n_letters):
 
 def all_choice_words(n_letters, max_length, max_fresh=None):
     """Every choice word of length <= max_length, canonical Seen/Fresh form."""
-    from regsync.semantics import FRESH
-
     def rec(prefix, used):
         yield tuple(prefix)
         if len(prefix) == max_length:
@@ -166,3 +170,60 @@ def concrete_merge(eng, q1, q2, pool):
                     return tuple(bfs_path(parents, nxt)[1])
                 queue.append(nxt)
     return None
+
+
+def pair_state_shrink(aut, max_nodes=1_000_000):
+    """Reference for dra.shrink_word: (result, nodes spent).  Each round is a
+    breadth-first search over pairs (whole abstract set, dirty sub-set),
+    counting every expansion and testing the goal when a pair is popped."""
+    from regsync import dra
+
+    dra._require_dra(aut)
+    eng = engine_for(aut)
+    k = aut.registers
+    for loc, ok in enumerate(dra._update_reachability(aut, generalized=True)):
+        if not ok:
+            return dra.NotShrinkable(loc), 0
+    current = eng.abstract_initial()
+    choices = []
+    explored = 0
+    while True:
+        dirty_locs = sorted({c[0] for c in current.configs if dra._dirty(c)})
+        if not dirty_locs:
+            break
+        loc0 = dirty_locs[0]
+        sub = AbstractConfigSet(
+            tuple(c for c in current.configs if c[0] == loc0 and dra._dirty(c)),
+            current.word_data_count)
+        found = None
+        start = (current, sub)
+        parents = {start: None}
+        queue = deque([start])
+        while queue:
+            state = queue.popleft()
+            aset, asub = state
+            if not any(dra._dirty(c) for c in asub.configs):
+                found = state
+                break
+            moves = list(range(aset.word_data_count))
+            if aset.word_data_count < k:
+                moves.append(FRESH)
+            for letter in range(eng.n_letters):
+                for choice in moves:
+                    explored += 1
+                    if explored > max_nodes:
+                        raise dra.InconclusiveError(
+                            f"shrink search exceeded {max_nodes} nodes", explored, "shrink")
+                    nxt = (eng.abstract_post(aset, letter, choice),
+                           eng.abstract_post(asub, letter, choice))
+                    if nxt in parents:
+                        continue
+                    parents[nxt] = (state, (letter, choice))
+                    queue.append(nxt)
+        if found is None:
+            return dra.NotShrinkable(loc0), explored
+        choices.extend(bfs_path(parents, found)[1])
+        current = found[0]
+    word = instantiate_choice_word(tuple(choices), range(k))
+    residual = frozenset(current.configs)
+    return dra.ShrinkResult(word, residual), explored

@@ -200,7 +200,7 @@ class TestOtherCommands:
         assert code == 2 and "exceeded 0 nodes" in err
 
     def test_inconclusive_names_its_phase(self, capsys, chain2_file):
-        # merge_heavy.ra: a 3-register DRA whose shrink needs 51 to 100 nodes
+        # merge_heavy.ra: a 3-register DRA whose shrink needs 11 to 20 nodes
         # and whose merge then searches a few hundred orbits exhaustively.
         heavy = str(pathlib.Path(__file__).parent / "data" / "merge_heavy.ra")
         code, out, _ = run(capsys, "--format", "json", "sync-dra", heavy, "--max-nodes", "100")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,9 +27,9 @@ from regsync.semantics import (
     is_synchronized,
     word_data,
 )
-from helpers import automaton, concrete_merge, random_complete_automaton
+from helpers import automaton, concrete_merge, pair_state_shrink, random_complete_automaton
 
-# A 2-register DRA whose shrink needs 6 nodes and whose two merges reach 9
+# A 2-register DRA whose shrink needs 2 nodes and whose two merges reach 9
 # and 8 orbits: a budget of 9 is enough per merge call, not for their sum.
 TWO_MERGES = """\
 automaton two_merges
@@ -124,6 +125,34 @@ class TestShrink:
             concrete = {(loc, tuple(word_data(result.word)[v] for v in vals))
                         for loc, vals in aset.configs}
             assert concrete == set(result.residual)
+
+
+    def test_agrees_with_pair_state_shrink(self):
+        rng = random.Random(78)
+        cases = [(random_complete_automaton(rng, rng.randint(1, 5), k, rng.randint(1, 2),
+                                            deterministic=True), 20_000)
+                 for k in (1, 2, 3) for _ in range(20)]
+        cases += [(random_complete_automaton(rng, rng.randint(2, 5), 4, 2, deterministic=True),
+                   1_000) for _ in range(20)]
+        outcomes = Counter()
+        for aut, budget in cases:
+            try:
+                expected, spent = pair_state_shrink(aut, budget)
+            except InconclusiveError:
+                try:
+                    result = shrink_word(aut, budget)
+                except InconclusiveError:
+                    continue
+                outcomes["newly decided"] += 1
+                if isinstance(result, ShrinkResult):
+                    aset = abstract_run(aut, choice_of_word(result.word))
+                    assert all(v >= 0 for _, vals in aset.configs for v in vals)
+                continue
+            # The same answer, and within the reference's budget.
+            assert shrink_word(aut, spent) == expected
+            outcomes[type(expected).__name__, spent > 0] += 1
+        assert outcomes["ShrinkResult", True] > 35 and outcomes["NotShrinkable", True] > 0
+        assert outcomes["NotShrinkable", False] > 0 and outcomes["newly decided"] > 0
 
 
 class TestPairwiseMerge:
@@ -249,6 +278,25 @@ class TestSynchronizingWordDra:
                             concrete_merge(eng, q1, q2, pool))
         assert [synchronizing_word_dra(aut) for aut in auts] == words
 
+    def test_witness_agrees_with_pair_state_shrink(self, monkeypatch):
+        rng = random.Random(59)
+        auts = [random_complete_automaton(rng, rng.randint(1, 4), k, 2, deterministic=True)
+                for k in (1, 2, 3) for _ in range(15)]
+
+        def outcome(aut):
+            try:
+                return synchronizing_word_dra(aut, 20_000)
+            except InconclusiveError as err:
+                return err.phase
+
+        words = [outcome(aut) for aut in auts]
+        assert sum(isinstance(w, tuple) for w in words) > 10 and None in words
+        monkeypatch.setattr(dra, "shrink_word", lambda aut, max_nodes:
+                            pair_state_shrink(aut, max_nodes)[0])
+        expected = [outcome(aut) for aut in auts]
+        assert [w for w, e in zip(words, expected) if e != "shrink"] == \
+            [e for e in expected if e != "shrink"]
+
     def test_merge_budget_is_per_call(self):
         aut = parse_automaton(TWO_MERGES)
         assert synchronizing_word_dra(aut, max_nodes=9) is not None
@@ -256,7 +304,7 @@ class TestSynchronizingWordDra:
             synchronizing_word_dra(aut, max_nodes=8)
         assert info.value.phase == "merge" and info.value.explored == 9
         with pytest.raises(InconclusiveError) as info:
-            synchronizing_word_dra(aut, max_nodes=5)
+            synchronizing_word_dra(aut, max_nodes=1)
         assert info.value.phase == "shrink"
 
     def test_four_registers_under_budget(self):
