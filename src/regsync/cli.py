@@ -73,7 +73,7 @@ def parse_word(aut: RegisterAutomaton, text: str):
         letter, _, datum = chunk.rpartition(":")
         if letter not in aut.alphabet:
             raise ValueError(f"unknown letter {letter!r}")
-        if not datum.lstrip("-").isdigit() or int(datum) < 0:
+        if not datum.isdecimal():
             raise ValueError(f"bad datum {datum!r} (expected a natural)")
         word.append((aut.alphabet.index(letter), int(datum)))
     return tuple(word)
@@ -188,7 +188,7 @@ def _cmd_oracle(args) -> Report:
     length = oracle.oracle_min_length(aut, params)
     if length is None:
         return Report("oracle", "no word within bounds", EXIT_NEGATIVE)
-    efficiency = oracle.oracle_min_data_efficiency(aut, params, jobs=args.jobs)
+    efficiency = oracle.oracle_min_data_efficiency(aut, params)
     return Report("oracle", "witness", EXIT_OK,
                   lines=[f"min length: {length}", f"min data efficiency: {efficiency}"],
                   stats={"depth": length})
@@ -200,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synchronizing data words for register automata")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for oracle enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, nodes=True):

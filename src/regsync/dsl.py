@@ -59,23 +59,18 @@ class DslError(ValueError):
 # ---------------------------------------------------------------------------
 # Guards
 
-_GUARD_TOKEN = re.compile(r"\s*(!=r\d+|=r\d+|true|[()!&|])")
+_GUARD_TOKEN = re.compile(r"!=r\d+|=r\d+|true|[()!&|]")
+_SPACED_GUARD_TOKEN = re.compile(rf"\s*(?:{_GUARD_TOKEN.pattern})")
 
 
-def _tokenize_guard(text: str, line: int, base_col: int):
-    tokens = []
+def _bad_token(text: str, line: int, base_col: int):
+    """Raise the diagnostic for the first untokenizable text in `text`."""
     pos = 0
-    while pos < len(text):
-        m = _GUARD_TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise DslError([ParseDiagnostic(line, base_col + pos + 1,
-                                            f"bad guard token near {rest[:12]!r}")])
-        tokens.append((m.group(1), base_col + m.start(1) + 1))
+    while (m := _SPACED_GUARD_TOKEN.match(text, pos)) is not None:
         pos = m.end()
-    return tokens
+    rest = text[pos:].strip()
+    raise DslError([ParseDiagnostic(line, base_col + pos + 1,
+                                    f"bad guard token near {rest[:12]!r}")])
 
 
 # Deepest guard AST, and deepest `!`/parenthesis nesting, the parser accepts:
@@ -84,79 +79,79 @@ MAX_GUARD_DEPTH = 100
 
 
 class _GuardParser:
-    """Recursive descent; each parse_* method returns (ast, height)."""
+    """Recursive descent; each parse_* method returns (ast, height).  Token
+    columns are worked out only when a diagnostic needs one."""
 
-    def __init__(self, tokens, line: int, end_col: int):
-        self.tokens = tokens
+    def __init__(self, tokens, text: str, line: int, base_col: int):
+        self.tokens = tokens + [None]
+        self.text = text
         self.line = line
-        self.end_col = end_col
+        self.base_col = base_col
         self.pos = 0
         self.nesting = 0
 
-    def _fail(self, message: str):
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end_col
-        raise DslError([ParseDiagnostic(self.line, col, message)])
+    def _fail(self, message: str, pos: Optional[int] = None):
+        pos = self.pos if pos is None else pos
+        cols = [m.start() for m in _GUARD_TOKEN.finditer(self.text)]
+        col = cols[pos] + 1 if pos < len(cols) else len(self.text)
+        raise DslError([ParseDiagnostic(self.line, self.base_col + col, message)])
 
-    def _checked(self, depth: int, pos: int) -> int:
-        """`depth`, or a DslError at token `pos` if it exceeds the cap."""
-        if depth > MAX_GUARD_DEPTH:
-            self.pos = pos
-            self._fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
-        return depth
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            self._fail("unexpected end of guard")
-        self.pos += 1
-        return tok
+    def _too_deep(self, pos: int):
+        self._fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels", pos)
 
     def parse(self) -> Constraint:
         out, _ = self.parse_or()
-        if self.peek() is not None:
-            self._fail(f"unexpected guard token {self.peek()!r}")
+        tok = self.tokens[self.pos]
+        if tok is not None:
+            self._fail(f"unexpected guard token {tok!r}")
         return out
 
     def parse_or(self):
         out, height = self.parse_and()
-        while self.peek() == "|":
+        while self.tokens[self.pos] == "|":
             at = self.pos
-            self.take()
+            self.pos += 1
             rhs, rhs_height = self.parse_and()
             out = Not(And(Not(out), Not(rhs)))
-            height = self._checked(3 + max(height, rhs_height), at)
+            height = 3 + max(height, rhs_height)
+            if height > MAX_GUARD_DEPTH:
+                self._too_deep(at)
         return out, height
 
     def parse_and(self):
         out, height = self.parse_unary()
-        while self.peek() == "&":
+        while self.tokens[self.pos] == "&":
             at = self.pos
-            self.take()
+            self.pos += 1
             rhs, rhs_height = self.parse_unary()
             out = And(out, rhs)
-            height = self._checked(1 + max(height, rhs_height), at)
+            height = 1 + max(height, rhs_height)
+            if height > MAX_GUARD_DEPTH:
+                self._too_deep(at)
         return out, height
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok in ("!", "("):
-            at = self.pos
-            self.nesting = self._checked(self.nesting + 1, at)
-            self.take()
+        at = self.pos
+        tok = self.tokens[at]
+        if tok is None:
+            self._fail("unexpected end of guard")
+        self.pos = at + 1
+        if tok == "!" or tok == "(":
+            self.nesting += 1
+            if self.nesting > MAX_GUARD_DEPTH:
+                self._too_deep(at)
             if tok == "!":
                 operand, height = self.parse_unary()
-                out = Not(operand), self._checked(height + 1, at)
+                if height >= MAX_GUARD_DEPTH:
+                    self._too_deep(at)
+                out = Not(operand), height + 1
             else:
                 out = self.parse_or()
-                if self.peek() != ")":
+                if self.tokens[self.pos] != ")":
                     self._fail("expected ')'")
-                self.take()
+                self.pos += 1
             self.nesting -= 1
             return out
-        tok = self.take()
         if tok == "true":
             return TRUE, 1
         if tok.startswith("!=r"):
@@ -167,10 +162,13 @@ class _GuardParser:
 
 
 def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
-    tokens = _tokenize_guard(text, line, base_col)
+    tokens = _GUARD_TOKEN.findall(text)
+    # The tokens cover every non-space character iff the text tokenizes.
+    if sum(map(len, tokens)) != sum(map(len, text.split())):
+        _bad_token(text, line, base_col)
     if not tokens:
         raise DslError([ParseDiagnostic(line, base_col + 1, "empty guard")])
-    return _GuardParser(tokens, line, base_col + len(text)).parse()
+    return _GuardParser(tokens, text, line, base_col).parse()
 
 
 def _is_or(guard: Constraint) -> bool:
@@ -222,8 +220,13 @@ class _Draft:
     transitions: list = field(default_factory=list)  # raw tuples
 
 
-def _split_tokens(line: str):
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+_WORD = re.compile(r"\S+")
+
+
+def _column(raw: str, i: int) -> int:
+    """1-based column of word i of the line `raw`, or one past its end."""
+    cols = [m.start() + 1 for m in _WORD.finditer(raw)]
+    return cols[i] if i < len(cols) else len(raw) + 1
 
 
 def parse_automaton(doc) -> RegisterAutomaton:
@@ -232,56 +235,52 @@ def parse_automaton(doc) -> RegisterAutomaton:
         doc = SourceDocument(doc)
     text = doc.text
     if text.lstrip().startswith("{"):
-        return parse_automaton_json(text)
+        return parse_automaton_json(text, doc.provenance)
     diags = []
     draft = _Draft()
+
+    def fail(i, message):  # at word i of the current line
+        diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _split_tokens(raw)
-        if not tokens:
+        words = raw.split()
+        if not words:
             continue
-        head, col = tokens[0]
-        rest = tokens[1:]
-        try:
-            if head == "automaton":
-                if len(rest) != 1:
-                    diags.append(ParseDiagnostic(lineno, col, "expected: automaton <name>"))
-                else:
-                    draft.name = rest[0][0]
-            elif head == "registers":
-                if len(rest) != 1 or not rest[0][0].isdigit():
-                    diags.append(ParseDiagnostic(lineno, col, "expected: registers <k>"))
-                else:
-                    draft.registers = int(rest[0][0])
-            elif head == "alphabet":
-                draft.alphabet = [tok for tok, _ in rest]
-            elif head == "location":
-                if not rest:
-                    diags.append(ParseDiagnostic(lineno, col, "expected: location <name> ..."))
-                    continue
-                name, name_col = rest[0]
-                flags = rest[1:]
-                if any(name == existing for existing in draft.locations):
-                    diags.append(ParseDiagnostic(lineno, name_col,
-                                                 f"duplicate location name {name!r}"))
-                    continue
-                draft.locations.append(name)
-                for flag, flag_col in flags:
-                    if flag == "initial":
-                        if draft.initial is not None:
-                            diags.append(ParseDiagnostic(lineno, flag_col,
-                                                         "second initial location"))
-                        draft.initial = name
-                    elif flag == "accepting":
-                        draft.accepting.append(name)
-                    else:
-                        diags.append(ParseDiagnostic(lineno, flag_col,
-                                                     f"unknown location flag {flag!r}"))
-            elif head == "trans":
-                draft.transitions.append((lineno, raw, tokens))
+        head = words[0]
+        if head == "trans":
+            draft.transitions.append((lineno, raw, words))
+        elif head == "automaton":
+            if len(words) != 2:
+                fail(0, "expected: automaton <name>")
             else:
-                diags.append(ParseDiagnostic(lineno, col, f"unknown directive {head!r}"))
-        except DslError as err:
-            diags.extend(err.diagnostics)
+                draft.name = words[1]
+        elif head == "registers":
+            if len(words) != 2 or not words[1].isdecimal():
+                fail(0, "expected: registers <k>")
+            else:
+                draft.registers = int(words[1])
+        elif head == "alphabet":
+            draft.alphabet = words[1:]
+        elif head == "location":
+            if len(words) == 1:
+                fail(0, "expected: location <name> ...")
+                continue
+            name = words[1]
+            if name in draft.locations:
+                fail(1, f"duplicate location name {name!r}")
+                continue
+            draft.locations.append(name)
+            for i in range(2, len(words)):
+                if words[i] == "initial":
+                    if draft.initial is not None:
+                        fail(i, "second initial location")
+                    draft.initial = name
+                elif words[i] == "accepting":
+                    draft.accepting.append(name)
+                else:
+                    fail(i, f"unknown location flag {words[i]!r}")
+        else:
+            fail(0, f"unknown directive {head!r}")
     if draft.name is None:
         diags.append(ParseDiagnostic(1, 1, "missing 'automaton <name>' header"))
     if draft.registers is None:
@@ -298,10 +297,11 @@ def parse_automaton(doc) -> RegisterAutomaton:
 
     loc_ids = {name: i for i, name in enumerate(draft.locations)}
     letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
+    guards = {}
     transitions = []
-    for lineno, raw, tokens in draft.transitions:
+    for lineno, raw, words in draft.transitions:
         transitions.append(_parse_transition(
-            lineno, raw, tokens, loc_ids, letter_ids, draft.registers, diags))
+            lineno, raw, words, loc_ids, letter_ids, draft.registers, guards, diags))
     if diags:
         raise DslError(diags, doc.provenance)
 
@@ -324,12 +324,15 @@ def parse_automaton(doc) -> RegisterAutomaton:
     )
 
 
-def _parse_transition(lineno, raw, tokens, loc_ids, letter_ids, k, diags):
-    words = [tok for tok, _ in tokens]
-    cols = {i: col for i, (_, col) in enumerate(tokens)}
+def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, guards, diags):
+    """One `trans` line.  `guards` maps each guard's words, joined by single
+    spaces, to (guard, least out-of-range register or None) for this
+    document.  Guard tokens never span spaces, so texts with the same words
+    tokenize alike and columns are needed only for a diagnostic.  A failed
+    parse is not kept, so every line reports its own position."""
 
     def fail(i, message):
-        diags.append(ParseDiagnostic(lineno, cols.get(i, len(raw) + 1), message))
+        diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
 
     shape_ok = (len(words) >= 7 and words[2] == "->" and words[4] == "on"
                 and words[6] == "when")
@@ -343,44 +346,55 @@ def _parse_transition(lineno, raw, tokens, loc_ids, letter_ids, k, diags):
         fail(3, f"unknown location {dst!r}")
     if sym not in letter_ids:
         fail(5, f"unknown letter {sym!r}")
-    set_at = None
-    for i in range(7, len(words)):
-        if words[i] == "set":
-            set_at = i
-            break
-    if len(words) == 7 or set_at == 7:
+    tail = words[7:]
+    set_at = 7 + tail.index("set") if "set" in tail else len(words)
+    if set_at == 7:
         fail(6, "missing guard after 'when'")
         return None
-    guard_text_start = cols[7] - 1
-    guard_end = cols[set_at] - 1 if set_at is not None else len(raw)
-    guard_src = raw[guard_text_start:guard_end]
-    try:
-        guard = parse_guard(guard_src, lineno, guard_text_start)
-    except DslError as err:
-        diags.extend(err.diagnostics)
-        return None
-    update = set()
-    if set_at is not None:
+    key = " ".join(words[7:set_at])
+    entry = guards.get(key)
+    if entry is None:
+        try:
+            try:
+                guard = parse_guard(key)
+            except DslError:
+                # Parse the line's own text for the diagnostic's columns.
+                start = _column(raw, 7) - 1
+                end = _column(raw, set_at) - 1 if set_at < len(words) else len(raw)
+                guard = parse_guard(raw[start:end], lineno, start)
+        except DslError as err:
+            diags.extend(err.diagnostics)
+            return None
+        bad = [r for r in guard_registers(guard) if r >= k]
+        entry = guards[key] = (guard, min(bad, default=None))
+    guard, bad = entry
+    update = ()
+    if set_at < len(words):
         regs = words[set_at + 1:]
         if not regs:
             fail(set_at, "empty 'set' clause")
         elif regs == ["*"]:
-            update = set(range(k))
+            update = range(k)
         else:
-            for off, reg in enumerate(regs):
-                if re.fullmatch(r"r\d+", reg):
+            update = set()
+            for i, reg in enumerate(regs, start=set_at + 1):
+                if _is_register(reg):
                     idx = int(reg[1:])
                     if idx >= k:
-                        fail(set_at + 1 + off, f"update register {reg} out of range")
+                        fail(i, f"update register {reg} out of range")
                     update.add(idx)
                 else:
-                    fail(set_at + 1 + off, f"bad register {reg!r} (expected r<i> or *)")
-    bad = sorted(r for r in guard_registers(guard) if r >= k)
-    if bad:
-        fail(7, f"guard register out of range: r{bad[0]}")
+                    fail(i, f"bad register {reg!r} (expected r<i> or *)")
+    if bad is not None:
+        fail(7, f"guard register out of range: r{bad}")
     if diags:
         return None
     return mk_transition(loc_ids[src], letter_ids[sym], guard, update, loc_ids[dst])
+
+
+def _is_register(word) -> bool:
+    """Whether `word` is r<digits>, as `set` clauses spell a register."""
+    return isinstance(word, str) and word[:1] == "r" and word[1:].isdecimal()
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +457,30 @@ def _serialize_json(aut: RegisterAutomaton) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_automaton_json(text: str) -> RegisterAutomaton:
+def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAutomaton:
+    def error(message: str, line: int = 1, column: int = 1) -> DslError:
+        return DslError([ParseDiagnostic(line, column, message)], provenance)
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
-        raise DslError([ParseDiagnostic(err.lineno, err.colno, f"bad JSON: {err.msg}")])
+        raise error(f"bad JSON: {err.msg}", err.lineno, err.colno)
     try:
         locations = [entry["name"] for entry in payload["locations"]]
         loc_ids = {name: i for i, name in enumerate(locations)}
         letter_ids = {name: i for i, name in enumerate(payload["alphabet"])}
         k = payload["registers"]
+        if type(k) is not int or k < 0:
+            raise error(f"registers must be a non-negative integer, not {k!r}")
         transitions = []
         for entry in payload["transitions"]:
-            update = set()
-            for reg in entry.get("set", []):
-                update.add(int(reg[1:]))
+            regs = entry.get("set", [])
+            if regs == ["*"]:
+                update = range(k)
+            elif isinstance(regs, list) and all(map(_is_register, regs)):
+                update = {int(reg[1:]) for reg in regs}
+            else:
+                raise error(f'bad set {regs!r} (expected a list of r<i>, or ["*"])')
             transitions.append(mk_transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
                 parse_guard(entry["when"]), update, loc_ids[entry["target"]]))
@@ -466,7 +489,7 @@ def parse_automaton_json(text: str) -> RegisterAutomaton:
         acceptance = None
         if initial or accepting:
             if len(initial) != 1:
-                raise DslError([ParseDiagnostic(1, 1, "JSON needs exactly one initial location")])
+                raise error("JSON needs exactly one initial location")
             acceptance = Acceptance(initial=initial[0], accepting=frozenset(accepting))
         return RegisterAutomaton(
             name=payload["automaton"],
@@ -476,7 +499,7 @@ def parse_automaton_json(text: str) -> RegisterAutomaton:
             transitions=tuple(transitions),
             acceptance=acceptance,
         )
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, DslError):
-            raise
-        raise DslError([ParseDiagnostic(1, 1, f"malformed JSON automaton: {err}")])
+    except DslError as err:
+        raise DslError(err.diagnostics, provenance)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise error(f"malformed JSON automaton: {err}")

@@ -17,7 +17,7 @@ search saturates and the "no word" answer is exact rather than bounded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .ra import RegisterAutomaton, ResourceCapError, eval_constraint
@@ -170,28 +170,9 @@ def oracle_min_length(aut: RegisterAutomaton, params: OracleParams) -> Optional[
     return oracle_search(aut, params).found_length
 
 
-def oracle_min_data_efficiency(aut: RegisterAutomaton, params: OracleParams,
-                               jobs: int = 1) -> Optional[int]:
+def oracle_min_data_efficiency(aut: RegisterAutomaton, params: OracleParams) -> Optional[int]:
     """Least number of distinct data in any synchronizing word within bounds."""
-    candidates = list(range(1, params.data_pool_size + 1))
-    if jobs > 1 and len(candidates) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(candidates))) as pool:
-            results = pool.starmap(
-                _min_data_probe,
-                [(aut, params, m) for m in candidates])
-        for m, hit in zip(candidates, results):
-            if hit:
-                return m
-        return None
-    for m in candidates:
-        if _min_data_probe(aut, params, m):
+    for m in range(1, params.data_pool_size + 1):
+        if oracle_search(aut, replace(params, data_pool_size=m)).found_length is not None:
             return m
     return None
-
-
-def _min_data_probe(aut: RegisterAutomaton, params: OracleParams, m: int) -> bool:
-    probe = OracleParams(params.max_length, m, params.initial_extra_data,
-                         params.max_nodes, params.concrete_enumeration)
-    return oracle_search(aut, probe).found_length is not None

@@ -229,6 +229,8 @@ def validate(aut: RegisterAutomaton) -> list:
             if name in seen:
                 diags.append(Diagnostic("duplicate-name", f"duplicate {kind} name {name!r}"))
             seen.add(name)
+    bad_registers = {key: [r for r in guard_registers(g) if not 0 <= r < aut.registers]
+                     for key, g in _distinct_guards(aut).items()}
     for i, t in enumerate(aut.transitions):
         if not 0 <= t.source < n_loc:
             diags.append(Diagnostic("dangling-id", f"transition {i}: source {t.source} out of range"))
@@ -236,7 +238,7 @@ def validate(aut: RegisterAutomaton) -> list:
             diags.append(Diagnostic("dangling-id", f"transition {i}: target {t.target} out of range"))
         if not 0 <= t.letter < n_sym:
             diags.append(Diagnostic("dangling-id", f"transition {i}: letter {t.letter} out of range"))
-        bad = [r for r in guard_registers(t.guard) if not 0 <= r < aut.registers]
+        bad = bad_registers[id(t.guard)]
         if bad:
             diags.append(Diagnostic(
                 "guard-register-range",
@@ -262,6 +264,13 @@ def validate(aut: RegisterAutomaton) -> list:
     return diags
 
 
+def _distinct_guards(aut: RegisterAutomaton) -> dict:
+    """id -> guard for each distinct guard object, in first-use order.  Ids
+    are exact keys while the transitions keep every guard alive; parsed
+    automata share one object per distinct guard text."""
+    return {id(t.guard): t.guard for t in aut.transitions}
+
+
 def check_validated(aut: RegisterAutomaton) -> None:
     diags = validate(aut)
     if diags:
@@ -272,7 +281,7 @@ class CompiledAutomaton:
     """An automaton's guards compiled once, with every structural check on them.
 
     `diagnostics` is validate()'s verdict and `masks[i]` transition i's guard
-    mask.  `table[loc][letter]` lists the cell's satisfiable transitions in
+    mask, computed once per distinct guard object.  `table[loc][letter]` lists the cell's satisfiable transitions in
     stored order as (mask, sorted update, target), leaving out any with a
     dangling id, and `covered[loc][letter]` is the union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
@@ -290,7 +299,8 @@ class CompiledAutomaton:
             raise ResourceCapError(
                 f"k={k} exceeds the assignment-enumeration cap {REGISTER_ENUMERATION_CAP}")
         self.diagnostics = validate(aut)
-        self.masks = masks = tuple(guard_mask(t.guard, k) for t in aut.transitions)
+        mask_of = {key: guard_mask(g, k) for key, g in _distinct_guards(aut).items()}
+        self.masks = masks = tuple(mask_of[id(t.guard)] for t in aut.transitions)
         n_loc, n_sym = len(aut.locations), len(aut.alphabet)
         cells = [[[] for _ in range(n_sym)] for _ in range(n_loc)]
         for i, t in enumerate(aut.transitions):

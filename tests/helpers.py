@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
+from regsync.dsl import MAX_GUARD_DEPTH, DslError, ParseDiagnostic, SourceDocument
 from regsync.ra import (
     TRUE,
     Acceptance,
+    And,
     Eq,
+    Not,
     RegisterAutomaton,
     conj,
     disj,
+    guard_registers,
     mk_transition,
     neq,
 )
@@ -139,8 +144,6 @@ def all_choice_words(n_letters, max_length, max_fresh=None):
 
 
 def random_guard(rng: random.Random, k, depth=2):
-    from regsync.ra import And, Not
-
     if depth == 0 or rng.random() < 0.35:
         if k == 0 or rng.random() < 0.25:
             return TRUE
@@ -227,3 +230,243 @@ def pair_state_shrink(aut, max_nodes=1_000_000):
     word = instantiate_choice_word(tuple(choices), range(k))
     residual = frozenset(current.configs)
     return dra.ShrinkResult(word, residual), explored
+
+
+# ---------------------------------------------------------------------------
+# Reference for dsl.parse_automaton on DSL text: the parser before the guard
+# memo, which tokenized every line with columns and parsed every guard anew.
+
+_REF_GUARD_TOKEN = re.compile(r"\s*(!=r\d+|=r\d+|true|[()!&|])")
+
+
+def _ref_tokenize_guard(text, line, base_col):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_GUARD_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise DslError([ParseDiagnostic(line, base_col + pos + 1,
+                                            f"bad guard token near {rest[:12]!r}")])
+        tokens.append((m.group(1), base_col + m.start(1) + 1))
+        pos = m.end()
+    return tokens
+
+
+class _RefGuardParser:
+    def __init__(self, tokens, line, end_col):
+        self.tokens = tokens
+        self.line = line
+        self.end_col = end_col
+        self.pos = 0
+        self.nesting = 0
+
+    def _fail(self, message):
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) else self.end_col
+        raise DslError([ParseDiagnostic(self.line, col, message)])
+
+    def _checked(self, depth, pos):
+        if depth > MAX_GUARD_DEPTH:
+            self.pos = pos
+            self._fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
+        return depth
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            self._fail("unexpected end of guard")
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        out, _ = self.parse_or()
+        if self.peek() is not None:
+            self._fail(f"unexpected guard token {self.peek()!r}")
+        return out
+
+    def parse_or(self):
+        out, height = self.parse_and()
+        while self.peek() == "|":
+            at = self.pos
+            self.take()
+            rhs, rhs_height = self.parse_and()
+            out = Not(And(Not(out), Not(rhs)))
+            height = self._checked(3 + max(height, rhs_height), at)
+        return out, height
+
+    def parse_and(self):
+        out, height = self.parse_unary()
+        while self.peek() == "&":
+            at = self.pos
+            self.take()
+            rhs, rhs_height = self.parse_unary()
+            out = And(out, rhs)
+            height = self._checked(1 + max(height, rhs_height), at)
+        return out, height
+
+    def parse_unary(self):
+        tok = self.peek()
+        if tok in ("!", "("):
+            at = self.pos
+            self.nesting = self._checked(self.nesting + 1, at)
+            self.take()
+            if tok == "!":
+                operand, height = self.parse_unary()
+                out = Not(operand), self._checked(height + 1, at)
+            else:
+                out = self.parse_or()
+                if self.peek() != ")":
+                    self._fail("expected ')'")
+                self.take()
+            self.nesting -= 1
+            return out
+        tok = self.take()
+        if tok == "true":
+            return TRUE, 1
+        if tok.startswith("!=r"):
+            return Not(Eq(int(tok[3:]))), 2
+        if tok.startswith("=r"):
+            return Eq(int(tok[2:])), 1
+        self._fail(f"unexpected guard token {tok!r}")
+
+
+def reference_parse_guard(text, line=1, base_col=0):
+    tokens = _ref_tokenize_guard(text, line, base_col)
+    if not tokens:
+        raise DslError([ParseDiagnostic(line, base_col + 1, "empty guard")])
+    return _RefGuardParser(tokens, line, base_col + len(text)).parse()
+
+
+def reference_parse_automaton(doc):
+    if isinstance(doc, str):
+        doc = SourceDocument(doc)
+    diags = []
+    name = registers = alphabet = initial = None
+    locations, accepting, pending = [], [], []
+    for lineno, raw in enumerate(doc.text.splitlines(), start=1):
+        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+        if not tokens:
+            continue
+        head, col = tokens[0]
+        rest = tokens[1:]
+        if head == "automaton":
+            if len(rest) != 1:
+                diags.append(ParseDiagnostic(lineno, col, "expected: automaton <name>"))
+            else:
+                name = rest[0][0]
+        elif head == "registers":
+            if len(rest) != 1 or not rest[0][0].isdigit():
+                diags.append(ParseDiagnostic(lineno, col, "expected: registers <k>"))
+            else:
+                registers = int(rest[0][0])
+        elif head == "alphabet":
+            alphabet = [tok for tok, _ in rest]
+        elif head == "location":
+            if not rest:
+                diags.append(ParseDiagnostic(lineno, col, "expected: location <name> ..."))
+                continue
+            loc, loc_col = rest[0]
+            if loc in locations:
+                diags.append(ParseDiagnostic(lineno, loc_col, f"duplicate location name {loc!r}"))
+                continue
+            locations.append(loc)
+            for flag, flag_col in rest[1:]:
+                if flag == "initial":
+                    if initial is not None:
+                        diags.append(ParseDiagnostic(lineno, flag_col, "second initial location"))
+                    initial = loc
+                elif flag == "accepting":
+                    accepting.append(loc)
+                else:
+                    diags.append(ParseDiagnostic(lineno, flag_col,
+                                                 f"unknown location flag {flag!r}"))
+        elif head == "trans":
+            pending.append((lineno, raw, tokens))
+        else:
+            diags.append(ParseDiagnostic(lineno, col, f"unknown directive {head!r}"))
+    if name is None:
+        diags.append(ParseDiagnostic(1, 1, "missing 'automaton <name>' header"))
+    if registers is None:
+        diags.append(ParseDiagnostic(1, 1, "missing 'registers <k>' header"))
+    if alphabet is None:
+        diags.append(ParseDiagnostic(1, 1, "missing 'alphabet ...' header"))
+    seen_letters = set()
+    for letter in alphabet or ():
+        if letter in seen_letters:
+            diags.append(ParseDiagnostic(1, 1, f"duplicate letter name {letter!r}"))
+        seen_letters.add(letter)
+    if diags:
+        raise DslError(diags, doc.provenance)
+    loc_ids = {n: i for i, n in enumerate(locations)}
+    letter_ids = {n: i for i, n in enumerate(alphabet)}
+    transitions = [_ref_parse_transition(lineno, raw, tokens, loc_ids, letter_ids, registers,
+                                         diags)
+                   for lineno, raw, tokens in pending]
+    if diags:
+        raise DslError(diags, doc.provenance)
+    acceptance = None
+    if initial is not None or accepting:
+        if initial is None:
+            raise DslError([ParseDiagnostic(1, 1,
+                                            "accepting locations without an initial location")],
+                           doc.provenance)
+        acceptance = Acceptance(loc_ids[initial], frozenset(loc_ids[n] for n in accepting))
+    return RegisterAutomaton(name, tuple(locations), registers, tuple(alphabet),
+                             tuple(transitions), acceptance)
+
+
+def _ref_parse_transition(lineno, raw, tokens, loc_ids, letter_ids, k, diags):
+    words = [tok for tok, _ in tokens]
+    cols = {i: col for i, (_, col) in enumerate(tokens)}
+
+    def fail(i, message):
+        diags.append(ParseDiagnostic(lineno, cols.get(i, len(raw) + 1), message))
+
+    if not (len(words) >= 7 and words[2] == "->" and words[4] == "on" and words[6] == "when"):
+        fail(0, "expected: trans <src> -> <dst> on <sym> when <guard> [set ...]")
+        return None
+    src, dst, sym = words[1], words[3], words[5]
+    if src not in loc_ids:
+        fail(1, f"unknown location {src!r}")
+    if dst not in loc_ids:
+        fail(3, f"unknown location {dst!r}")
+    if sym not in letter_ids:
+        fail(5, f"unknown letter {sym!r}")
+    set_at = next((i for i in range(7, len(words)) if words[i] == "set"), None)
+    if len(words) == 7 or set_at == 7:
+        fail(6, "missing guard after 'when'")
+        return None
+    start = cols[7] - 1
+    end = cols[set_at] - 1 if set_at is not None else len(raw)
+    try:
+        guard = reference_parse_guard(raw[start:end], lineno, start)
+    except DslError as err:
+        diags.extend(err.diagnostics)
+        return None
+    update = set()
+    if set_at is not None:
+        regs = words[set_at + 1:]
+        if not regs:
+            fail(set_at, "empty 'set' clause")
+        elif regs == ["*"]:
+            update = set(range(k))
+        else:
+            for off, reg in enumerate(regs):
+                if re.fullmatch(r"r\d+", reg):
+                    idx = int(reg[1:])
+                    if idx >= k:
+                        fail(set_at + 1 + off, f"update register {reg} out of range")
+                    update.add(idx)
+                else:
+                    fail(set_at + 1 + off, f"bad register {reg!r} (expected r<i> or *)")
+    bad = sorted(r for r in guard_registers(guard) if r >= k)
+    if bad:
+        fail(7, f"guard register out of range: r{bad[0]}")
+    if diags:
+        return None
+    return mk_transition(loc_ids[src], letter_ids[sym], guard, update, loc_ids[dst])

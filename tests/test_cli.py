@@ -88,6 +88,64 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(capsys, "definitely-not-a-command")[0] == 3
 
+    def test_non_ascii_register_count(self, capsys, tmp_path):
+        path = tmp_path / "sup.ra"
+        path.write_text("automaton t\nregisters \u00b2\nalphabet a\nlocation q\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert f"{path}:2:1: expected: registers <k>" in err
+
+    def test_non_ascii_datum(self, capsys, chain2_file):
+        code, _, err = run(capsys, "run", chain2_file, "--word", "a:1 a:\u00b2")
+        assert code == 3
+        assert "bad datum '\u00b2' (expected a natural)" in err
+
+
+class TestJsonMirror:
+    def write(self, tmp_path, **overrides):
+        payload = json.loads(serialize_automaton(gen_chain_dra(1), "json"))
+        payload.update(overrides)
+        if "set" in overrides:
+            payload["transitions"][0]["set"] = overrides.pop("set")
+            del payload["set"]
+        path = tmp_path / "aut.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_roundtrip_validates(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "validate", self.write(tmp_path))
+        assert code == 0 and "ok" in out
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"registers": "x"}, "registers must be a non-negative integer, not 'x'"),
+        ({"registers": 1.5}, "registers must be a non-negative integer, not 1.5"),
+        ({"registers": True}, "registers must be a non-negative integer, not True"),
+        ({"registers": -1}, "registers must be a non-negative integer, not -1"),
+        ({"set": ["q0"]}, "bad set ['q0']"),
+        ({"set": ["r0", "*"]}, "bad set ['r0', '*']"),
+        ({"set": "r0"}, "bad set 'r0'"),
+        ({"transitions": [1]}, "malformed JSON automaton"),
+    ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
+            "entry"])
+    def test_malformed_is_a_parse_error(self, capsys, tmp_path, overrides, message):
+        path = self.write(tmp_path, **overrides)
+        code, _, err = run(capsys, "validate", path)
+        assert code == 3
+        assert err.startswith(f"{path}:1:1: {message}") and "Traceback" not in err
+
+    def test_set_star_updates_every_register(self, capsys, tmp_path):
+        path = self.write(tmp_path, set=["*"])
+        code, out, _ = run(capsys, "validate", path)
+        assert code == 0 and "ok" in out
+
+    def test_bad_json_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "automaton": }\n')
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 3
+        assert err.startswith(f"{path}:2:16: bad JSON")
+
 
 class TestGen:
     def test_gen_chain_pipes_to_sync(self, capsys, tmp_path):
@@ -227,9 +285,3 @@ class TestOtherCommands:
         monkeypatch.setenv("REGSYNC_MAX_NODES", "-1")
         code, _, err = run(capsys, *argv)
         assert code == 3 and "max_nodes must be >= 0" in err
-
-    def test_oracle_jobs_pool(self, capsys, chain2_file):
-        code, out, _ = run(capsys, "--jobs", "2", "oracle", chain2_file,
-                           "--max-len", "3")
-        assert code == 0
-        assert "min data efficiency: 3" in out

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regsync.dsl import (
     MAX_GUARD_DEPTH,
@@ -20,7 +20,13 @@ from regsync.gadgets import (
     reduce_sync_to_nonuniv,
 )
 from regsync.ra import TRUE, And, Eq, Not, validate
-from helpers import automaton, random_complete_automaton, random_guard
+from helpers import (
+    automaton,
+    random_complete_automaton,
+    random_guard,
+    reference_parse_automaton,
+    reference_parse_guard,
+)
 
 
 class TestGuards:
@@ -56,10 +62,9 @@ class TestGuards:
            | st.builds(lambda op, n: op * n + "=r0", st.sampled_from(["!", "(", "!("]),
                        st.integers(1, 400)))
     def test_any_text_parses_or_raises_dsl_error(self, text):
-        try:
-            parse_guard(text)
-        except DslError:
-            pass
+        # and agrees with the reference parser, diagnostics included
+        assert (_outcome(lambda t: parse_guard(t, 3, 7), text)
+                == _outcome(lambda t: reference_parse_guard(t, 3, 7), text))
 
     def test_depth_cap_is_exact(self):
         assert parse_guard("!" * (MAX_GUARD_DEPTH - 1) + "=r0")
@@ -175,3 +180,103 @@ class TestDiagnostics:
         for n in (1, 3):
             text = serialize_automaton(gen_counter_nra(n))
             assert validate(parse_automaton(text)) == []
+
+
+# Guards are drawn as lists of pieces.  Rendered with and without spaces
+# between pieces, the same pieces can tokenize differently ("=r1" "0" is
+# "=r10" or a bad token; "tr" "ue" is "true" or two bad tokens), which a memo
+# key that drops or invents spacing gets wrong.
+ATOMS = [["=r0"], ["!=r1"], ["=r2"], ["true"], ["!", "=r0"], ["tr", "ue"], ["=r1", "0"],
+         ["=r7"], ["x"]]
+SPACING = ["", " ", "  ", "\t", " \t "]
+
+
+@st.composite
+def guard_pieces(draw, depth=2):
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        return draw(st.sampled_from(ATOMS[:4] * 4 + ATOMS))
+    shape = draw(st.sampled_from(["&", "|", "!", "()", "&", "|", "bad"]))
+    left = draw(guard_pieces(depth - 1))
+    if shape == "!":
+        return ["!"] + left
+    if shape == "()":
+        return ["("] + left + [")"]
+    right = draw(guard_pieces(depth - 1))
+    if shape == "bad":
+        return left + draw(st.sampled_from([["&"], ["|"], [")"], ["("], ["!"]]))
+    return left + [shape] + right
+
+
+@st.composite
+def dsl_texts(draw):
+    """DSL documents that reuse a few guards with varied spacing, most of them
+    well formed, some with broken headers, lines or guards."""
+    noisy = draw(st.booleans())
+
+    def pick(good, bad):
+        return draw(st.sampled_from(good * 6 + bad if noisy else good))
+
+    k = draw(st.sampled_from([3, 3, 3, 0, 1, 2]))
+    locs = draw(st.lists(st.sampled_from(["q0", "q1", "q2", "set", "when"]), min_size=1,
+                         max_size=3, unique=not noisy))
+    letters = draw(st.lists(st.sampled_from(["a", "b", "set"]), min_size=1, max_size=2,
+                            unique=not noisy))
+    guards = draw(st.lists(guard_pieces(), min_size=1, max_size=3))
+    sep = st.sampled_from(SPACING[1:])
+    lines = [["automaton", pick(["t"], ["t u"])],
+             ["registers", pick([str(k)], ["x", "-1", "3"])],
+             ["alphabet"] + letters]
+    for i, loc in enumerate(locs):
+        flags = [["initial", "accepting"], ["accepting"], []][min(i, 2)]
+        lines.append(["location", loc] + pick([flags, []], [["bogus"], ["initial"]]))
+    for _ in range(draw(st.integers(0, 8))):
+        pieces = draw(st.sampled_from(guards))
+        glue = draw(st.lists(st.sampled_from(SPACING), min_size=len(pieces) - 1,
+                             max_size=len(pieces) - 1))
+        guard = pieces[0] + "".join(g + p for g, p in zip(glue, pieces[1:]))
+        words = ["trans", pick(locs, ["qx"]), "->", draw(st.sampled_from(locs)),
+                 "on", pick(letters, ["z"]), "when", guard]
+        words += pick([[], ["set", "*"], ["set", "r0"], ["set", "r0", "r2"]],
+                      [["set"], ["set", "q0"], ["set", "*", "r1"], ["set", "r9"]])
+        lines.append(words)
+    rendered = []
+    for words in lines:
+        line = words[0] + "".join(draw(sep) + w for w in words[1:])
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(sep) + line + draw(sep)
+        mutation = draw(st.integers(0, 11)) if noisy else 2
+        if mutation == 0:
+            continue
+        if mutation == 1:
+            at = draw(st.integers(0, len(line) - 1))
+            line = line[:at] + draw(st.sampled_from(["", " ", "\t", "x", "=", "!", ")"])) + \
+                line[at + 1:]
+        rendered.append(line)
+    return "\n".join(rendered) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except DslError as err:
+        return str(err), err.diagnostics
+
+
+class TestAgainstReferenceParser:
+    @settings(max_examples=400, deadline=None)
+    @given(dsl_texts())
+    def test_same_automaton_or_same_diagnostics(self, text):
+        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+
+    def test_repeated_bad_guard_reports_each_line(self):
+        bad = "trans q -> q on a when =r0 & =rX set r0"
+        shifted = "  " + bad.replace(" on ", " \ton ")
+        text = ("automaton t\nregisters 1\nalphabet a\nlocation q\n"
+                f"{bad}\n{shifted}\n{bad}\n")
+        with pytest.raises(DslError) as err:
+            parse_automaton(text)
+        col = bad.index("& =rX") + 2
+        message = "bad guard token near '=rX'"
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (5, col, message), (6, col + 3, message), (7, col, message)]
+        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)

@@ -25,6 +25,8 @@ from regsync.ra import (
     RegisterAutomaton,
     ResourceCapError,
 )
+from regsync import ra
+from regsync.dsl import parse_automaton
 from helpers import automaton, random_complete_automaton, random_guard
 
 
@@ -72,6 +74,41 @@ class TestGuardMask:
         assert mask >> (1 << k) == 0
         for sigma in range(1 << k):
             assert bool(mask >> sigma & 1) == eval_constraint(guard, *realize(sigma, k))
+
+
+class TestCompiledMasks:
+    TEXT = ("automaton t\nregisters 2\nalphabet a b\nlocation p\nlocation q\n"
+            "trans p -> q on a when =r0 & !=r1 set *\n"
+            "trans p -> p on a when !(=r0 & !=r1)\n"
+            "trans p -> q on b when =r0  &\t!=r1\n"
+            "trans q -> p on a when true set r0\n"
+            "trans q -> q on b when true\n"
+            "trans p -> p on b when !(=r0 & !=r1)\n")
+
+    def test_one_mask_per_distinct_parsed_guard(self, monkeypatch):
+        aut = parse_automaton(self.TEXT)
+        expected = tuple(guard_mask(t.guard, aut.k) for t in aut.transitions)
+        calls = []
+
+        def counting(guard, k):
+            calls.append(guard)
+            return guard_mask(guard, k)
+
+        monkeypatch.setattr(ra, "guard_mask", counting)
+        assert aut.compiled.masks == expected
+        assert len(calls) == 3  # "=r0 & !=r1", "!(=r0 & !=r1)" and "true"
+
+    def test_equal_but_distinct_guard_objects(self):
+        aut = automaton("t", ["p"], 2, ["a", "b"], [
+            ("p", "a", And(Eq(0), neq(1)), (), "p"),
+            ("p", "a", Not(And(Eq(0), neq(1))), (), "p"),
+            ("p", "b", And(Eq(0), neq(1)), {0}, "p"),
+            ("p", "b", Not(And(Eq(0), neq(1))), (), "p"),
+        ])
+        ts = aut.transitions
+        assert ts[0].guard == ts[2].guard and ts[0].guard is not ts[2].guard
+        assert aut.compiled.masks == tuple(guard_mask(t.guard, 2) for t in ts)
+        assert aut.compiled.masks[0] == aut.compiled.masks[2] != aut.compiled.masks[1]
 
 
 class TestApplyUpdate:
