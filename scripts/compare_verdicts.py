@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Compare the verdicts of two regsync checkouts, query by query.
+
+    python3 scripts/compare_verdicts.py ../other-checkout --workload decide --seed 1
+
+Every query of the benchmark workload (`perfbench/inputs.generate`) goes
+through `perfbench/client.execute`, once in this checkout and once in the
+other, each checkout in its own subprocess with its own `src/` and
+`perfbench/`.  A verdict is compared by its decided flag, its result (the
+word, or the outcome type with its witness and `explored` count, or the
+exception type with `explored` and `phase`) and `dra1`; other search
+statistics are not compared.  Prints the number of differing verdicts and
+the seconds per query kind in each checkout, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import subprocess
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+# Outcome fields that count work rather than state the answer.
+STATISTICS = ("queued",)
+
+
+def _result(result):
+    if isinstance(result, BaseException):
+        return (type(result).__name__, getattr(result, "explored", None),
+                getattr(result, "phase", None))
+    if dataclasses.is_dataclass(result):
+        return (type(result).__name__,) + tuple(
+            (f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
+            if f.name not in STATISTICS)
+    return result
+
+
+def _worker(checkout: Path, workload: str, seed: int, limit) -> None:
+    """Run the queries in `checkout` and write one JSON line per query:
+    [index, kind, sha256 of its text, seconds, verdict signature]."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import client
+    import inputs
+
+    queries = inputs.generate(workload, seed)[:limit]
+    for i, query in enumerate(queries):
+        start = time.perf_counter()
+        try:
+            verdict = client.execute(query)
+            signature = (verdict.decided, _result(verdict.result), verdict.dra1)
+        except Exception as err:  # a crash is a verdict too
+            signature = ("error", type(err).__name__, str(err))
+        seconds = time.perf_counter() - start
+        digest = hashlib.sha256(query.text.encode()).hexdigest()
+        print(json.dumps([i, query.kind, digest, seconds, repr(signature)]), flush=True)
+
+
+def _run(checkout: Path, args) -> list:
+    argv = [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout),
+            "--workload", args.workload, "--seed", str(args.seed)]
+    if args.limit is not None:
+        argv += ["--limit", str(args.limit)]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", help="path of the other checkout")
+    parser.add_argument("--workload", default="decide", choices=("decide", "membership"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--limit", type=int, default=None,
+                        help="compare only the first N queries")
+    # Run the queries in the checkout `other` and print their verdicts.
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker(Path(args.other), args.workload, args.seed, args.limit)
+        return 0
+    other = Path(args.other).resolve()
+    if not (other / "perfbench" / "client.py").is_file():
+        parser.error(f"{other} has no perfbench/client.py")
+    mine, theirs = _run(HERE, args), _run(other, args)
+    if len(mine) != len(theirs) or any(a[2] != b[2] for a, b in zip(mine, theirs)):
+        print("the two checkouts generate different queries")
+        return 1
+    differing = [a for a, b in zip(mine, theirs) if a[4] != b[4]]
+    for i, kind, _, _, signature in differing[:10]:
+        other_signature = theirs[i][4]
+        print(f"query {i} ({kind}):\n  this:  {signature}\n  other: {other_signature}")
+    seconds = defaultdict(lambda: [0, 0.0, 0.0])
+    for a, b in zip(mine, theirs):
+        cell = seconds[a[1]]
+        cell[0] += 1
+        cell[1] += a[3]
+        cell[2] += b[3]
+    print(f"{args.workload} seed {args.seed}: {len(mine)} queries, "
+          f"{len(differing)} differing verdict(s)")
+    print(f"{'kind':<14}{'queries':>8}{'this s':>10}{'other s':>10}")
+    for kind, (count, this_s, other_s) in sorted(seconds.items()):
+        print(f"{kind:<14}{count:>8}{this_s:>10.2f}{other_s:>10.2f}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,9 +2,11 @@
 
 Exit codes: 0 decided/produced, 1 negative decision, 2 inconclusive or
 budget exhausted, 3 usage or parse error.  Reports print as text or, with
---format json, as {command, outcome, witness?, stats{explored, depth,
-seconds}}; an inconclusive sync-dra adds stats.phase, the search that ran
-out ("shrink" or "merge").  REGSYNC_MAX_NODES sets the default node budget.
+--format json, as {command, outcome, witness?, stats{explored, queued,
+depth, seconds}}, where queued counts the sets (for emptiness, the states)
+a search added to its dedup table; an inconclusive sync-dra adds
+stats.phase, the search that ran out ("shrink" or "merge").
+REGSYNC_MAX_NODES sets the default node budget.
 """
 
 from __future__ import annotations
@@ -91,15 +93,15 @@ def _emit(report: Report, fmt: str, started: float) -> int:
 
 
 def _search_report(command, aut, outcome, negative_text) -> Report:
+    stats = {"explored": outcome.explored, "queued": outcome.queued}
     match outcome:
-        case nra.Witness(word=word, explored=explored):
+        case nra.Witness(word=word):
             return Report(command, "witness", EXIT_OK, format_word(aut, word),
-                          stats={"explored": explored, "depth": len(word)})
-        case nra.NoneWithinBound(explored=explored):
-            return Report(command, negative_text, EXIT_NEGATIVE, stats={"explored": explored})
-        case nra.BudgetExhausted(explored=explored):
-            return Report(command, "budget exhausted", EXIT_INCONCLUSIVE,
-                          stats={"explored": explored})
+                          stats={**stats, "depth": len(word)})
+        case nra.NoneWithinBound():
+            return Report(command, negative_text, EXIT_NEGATIVE, stats=stats)
+        case nra.BudgetExhausted():
+            return Report(command, "budget exhausted", EXIT_INCONCLUSIVE, stats=stats)
     raise RuntimeError(f"unknown outcome {outcome!r}")
 
 

@@ -152,6 +152,10 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
         if not ok:
             return NotShrinkable(loc)
     current = eng.abstract_initial()
+
+    def step(aset, m, letter, choice):
+        return eng.abstract_post(aset, letter, choice)
+
     choices = []
     # Every round ticks the budget at least once, so the loop terminates
     # even if partial cleans keep re-dirtying locations (worst case it ends
@@ -161,10 +165,10 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
         if not dirty:
             break
         loc0 = dirty[0][0]  # configs are in tuple order: the least location
-        sub = AbstractConfigSet(tuple(c for c in dirty if c[0] == loc0),
-                                current.word_data_count)
+        m = current.word_data_count
+        sub = AbstractConfigSet(tuple(c for c in dirty if c[0] == loc0), m)
         try:
-            path = _search_bfs(eng, sub, _clean, None, k, budget)
+            path = _search_bfs(step, eng.n_letters, sub, m, _clean, None, k, budget)
         except _Exhausted:
             raise InconclusiveError(f"shrink search exceeded {budget.limit} nodes",
                                     budget.spent, "shrink") from None

@@ -467,6 +467,11 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
         raise error(f"bad JSON: {err.msg}", err.lineno, err.colno)
     try:
         locations = [entry["name"] for entry in payload["locations"]]
+        for what, names in (("automaton", [payload["automaton"]]), ("location", locations),
+                            ("letter", payload["alphabet"])):
+            for name in names:
+                if not isinstance(name, str):
+                    raise error(f"{what} name must be a string, not {name!r}")
         loc_ids = {name: i for i, name in enumerate(locations)}
         letter_ids = {name: i for i, name in enumerate(payload["alphabet"])}
         k = payload["registers"]
@@ -479,11 +484,18 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
                 update = range(k)
             elif isinstance(regs, list) and all(map(_is_register, regs)):
                 update = {int(reg[1:]) for reg in regs}
+                for reg in regs:
+                    if int(reg[1:]) >= k:
+                        raise error(f"update register {reg} out of range")
             else:
                 raise error(f'bad set {regs!r} (expected a list of r<i>, or ["*"])')
+            guard = parse_guard(entry["when"])
+            bad = [r for r in guard_registers(guard) if r >= k]
+            if bad:
+                raise error(f"guard register out of range: r{min(bad)}")
             transitions.append(mk_transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
-                parse_guard(entry["when"]), update, loc_ids[entry["target"]]))
+                guard, update, loc_ids[entry["target"]]))
         initial = [i for i, entry in enumerate(payload["locations"]) if entry.get("initial")]
         accepting = [i for i, entry in enumerate(payload["locations"]) if entry.get("accepting")]
         acceptance = None

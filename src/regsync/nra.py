@@ -4,7 +4,9 @@ Length-bounded synchronization and universality both track a canonical
 abstract configuration set and explore choice words; freshness suffices as
 the only non-seen datum per step (data outside all seen data and register
 contents are interchangeable up to bijection), so the search is exact within
-its bounds: NoneWithinBound is a proof of absence, not a heuristic.
+its bounds: NoneWithinBound is a proof of absence, not a heuristic.  Both
+searches carry a set as an int bitmask over the configurations the Engine
+interns, and their goals are mask tests (see semantics).
 
 The general synchronization problem for NRAs is undecidable, so only
 bounded-exact and budget-limited modes exist here.
@@ -19,6 +21,7 @@ from typing import Optional
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
     AbstractConfigSet,
+    FRESH,
     Engine,
     _Budget,
     _Exhausted,
@@ -29,7 +32,6 @@ from .semantics import (
     choice_of_word,
     engine_for,
     instantiate_choice_word,
-    is_synchronized,
 )
 
 
@@ -45,66 +47,75 @@ class Witness:
     choice_word: tuple
     word: tuple
     explored: int = 0
+    queued: int = 0
 
 
 @dataclass(frozen=True)
 class NoneWithinBound:
     explored: int = 0
+    queued: int = 0
 
 
 @dataclass(frozen=True)
 class BudgetExhausted:
     explored: int
+    queued: int = 0
 
 
-def _search_iddfs(eng: Engine, root: AbstractConfigSet, goal, max_length: int,
+def _search_iddfs(step, n_letters: int, root, data: int, goal, max_length: int,
                   max_data: Optional[int], budget: _Budget) -> Optional[list]:
     """Iterative deepening with _search_bfs's contract, except that the path
     found need not be the lexicographically least; memo keeps the best
-    remaining depth per state so a revisit is pruned only when an earlier
-    visit had at least as much depth left."""
+    remaining depth per (set, word data) node so a revisit is pruned only
+    when an earlier visit had at least as much depth left."""
 
-    def dls(aset, remaining, memo, path):
-        if memo.get(aset, -1) >= remaining:
+    def dls(node, remaining, memo, path):
+        best = memo.get(node, -1)
+        if best >= remaining:
             return None
-        memo[aset] = remaining
+        if best < 0:
+            budget.queued += 1
+        memo[node] = remaining
         if remaining == 0:
             return None
-        for letter, choice in _moves(eng, aset, max_data):
+        s, m = node
+        for letter, choice in _moves(n_letters, m, max_data):
             if not budget.tick():
                 raise _Exhausted
-            nxt = eng.abstract_post(aset, letter, choice)
+            nxt = step(s, m, letter, choice)
             path.append((letter, choice))
             if goal(nxt):
                 return list(path)
-            hit = dls(nxt, remaining - 1, memo, path)
+            hit = dls((nxt, m + 1 if choice == FRESH else m), remaining - 1, memo, path)
             if hit is not None:
                 return hit
             path.pop()
         return None
 
     for limit in range(1, max_length + 1):
-        hit = dls(root, limit, {}, [])
+        hit = dls((root, data), limit, {}, [])
         if hit is not None:
             return hit
     return None
 
 
-def _search(eng: Engine, root: AbstractConfigSet, goal, budget: SearchBudget, bfs: bool,
-            empty_word: bool):
-    """The outcome of a search from `root` for a set satisfying `goal`;
-    `empty_word` lets the empty word be the witness."""
+def _search(eng: Engine, configs, goal, budget: SearchBudget, bfs: bool, empty_word: bool):
+    """The outcome of a search from the set `configs` for a set of interned
+    ids satisfying `goal`; `empty_word` lets the empty word be the witness."""
     tick = _Budget(budget.max_nodes)
     search = _search_bfs if bfs else _search_iddfs
+    root = eng.mask_root(configs)
     try:
         path = () if empty_word and goal(root) else search(
-            eng, root, goal, budget.max_length, budget.max_distinct_data, tick)
+            eng.mask_post, eng.n_letters, root, 0, goal, budget.max_length,
+            budget.max_distinct_data, tick)
     except _Exhausted:
-        return BudgetExhausted(tick.spent)
+        return BudgetExhausted(tick.spent, tick.queued)
     if path is None:
-        return NoneWithinBound(tick.spent)
+        return NoneWithinBound(tick.spent, tick.queued)
     cword = tuple(path)
-    return Witness(cword, instantiate_choice_word(cword, range(len(cword))), tick.spent)
+    return Witness(cword, instantiate_choice_word(cword, range(len(cword))), tick.spent,
+                   tick.queued)
 
 
 def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool = False):
@@ -115,7 +126,8 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
     if budget.max_length < 1:
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
     eng = engine_for(aut)
-    return _search(eng, eng.abstract_initial(), is_synchronized, budget, bfs, empty_word=False)
+    return _search(eng, eng.abstract_initial().configs, eng.mask_synchronized, budget, bfs,
+                   empty_word=False)
 
 
 def _universality_root(eng: Engine, initial: int) -> AbstractConfigSet:
@@ -134,11 +146,12 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
     eng = engine_for(aut)  # validates, including the initial-update rule
     accepting = aut.acceptance.accepting
 
-    def rejected(aset: AbstractConfigSet) -> bool:
-        return all(loc not in accepting for loc, _ in aset.configs)
+    def rejected(mask: int) -> bool:
+        # no id at an accepting location
+        return not any(mask & eng.location_masks[loc] for loc in accepting)
 
     root = _universality_root(eng, aut.acceptance.initial)
-    return _search(eng, root, rejected, SearchBudget(bound, None, max_nodes), bfs,
+    return _search(eng, root.configs, rejected, SearchBudget(bound, None, max_nodes), bfs,
                    empty_word=True)
 
 
@@ -188,7 +201,7 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
         for letter in range(eng.n_letters):
             for kind, value in inputs:
                 if not tick.tick():
-                    return BudgetExhausted(tick.spent)
+                    return BudgetExhausted(tick.spent, len(parents))
                 datum = value if kind == "eq" else k  # k differs from all pattern codes
                 for tgt, nv in eng.post_config((loc, pattern), letter, datum):
                     nxt = (tgt, _pattern_of(nv))
@@ -205,11 +218,11 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
             if hit is not None:
                 break
     if hit is None:
-        return NoneWithinBound(tick.spent)
+        return NoneWithinBound(tick.spent, len(parents))
 
     root, trail = bfs_path(parents, hit)
     word = _replay_run(eng, root, trail)
-    return Witness(choice_of_word(word), word, tick.spent)
+    return Witness(choice_of_word(word), word, tick.spent, len(parents))
 
 
 def _pattern_of(values) -> tuple:

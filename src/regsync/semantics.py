@@ -12,6 +12,16 @@ guard atoms decidable on abstract values by plain int equality.  Reading a
 fresh datum splits each configuration into the branch where no block equals
 it plus one branch per block that does -- the only point where the unknown
 initial data interact with the word.
+
+An Engine keeps two memos of per-configuration successors, both capped at
+SUCCESSOR_MEMO_CAP entries and cleared whenever they pass it.  The tuple
+memo serves `abstract_post` (single-path walks such as `abstract_run`, and
+the DRA shrink), whose sets are sorted tuples of configurations.  The mask
+memo serves the bounded NRA searches, whose sets are int bitmasks over
+configurations the Engine interns as small ids: a step ORs memoized
+successor masks, and dedup hashes one int.  Ids outlive the mask memo; the
+intern table is cleared only at the root of a search, once it holds more
+than SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.
 """
 
 from __future__ import annotations
@@ -168,6 +178,20 @@ class Engine:
         # configs over all steps.
         self.successor_memo = {}
         self.memo_entries = 0
+        self._clear_ids()
+
+    def _clear_ids(self) -> None:
+        # The bounded searches' interned configurations: id_of maps a
+        # config to its id, config_of an id back to its config.  dirty_mask
+        # holds the ids with a symbolic value, location_masks[loc] the ids
+        # at loc; both grow as ids are interned.
+        self.id_of = {}
+        self.config_of = []
+        self.dirty_mask = 0
+        self.location_masks = [0] * self.n_locations
+        # (letter, input, fresh?) -> {id: mask of its successors' ids}.
+        self.mask_memo = {}
+        self.mask_entries = 0
 
     # -- concrete ----------------------------------------------------------
 
@@ -259,6 +283,61 @@ class Engine:
             aset = self.abstract_post(aset, letter, choice)
         return aset
 
+    # -- interned bitmask sets -----------------------------------------------
+
+    def mask_root(self, configs) -> int:
+        """The mask of `configs` as the root of a new search.  A search holds
+        ids from its root to its end, so this is the one place the intern
+        table may be cleared: when it holds more than SUCCESSOR_MEMO_CAP
+        configs."""
+        if len(self.config_of) > SUCCESSOR_MEMO_CAP:
+            self._clear_ids()
+        return self._intern_all(configs)
+
+    def _intern_all(self, configs) -> int:
+        id_of = self.id_of
+        mask = 0
+        for config in configs:
+            i = id_of.get(config)
+            if i is None:
+                i = id_of[config] = len(self.config_of)
+                self.config_of.append(config)
+                loc, values = config
+                bit = 1 << i
+                self.location_masks[loc] |= bit
+                if any(v < 0 for v in values):
+                    self.dirty_mask |= bit
+            mask |= 1 << i
+        return mask
+
+    def mask_synchronized(self, mask: int) -> bool:
+        """is_synchronized on a mask: exactly one id, and a clean one."""
+        return mask != 0 and mask & (mask - 1) == 0 and not mask & self.dirty_mask
+
+    def mask_post(self, mask: int, m: int, letter: int, choice: int) -> int:
+        """abstract_post on the set `mask` of interned ids holding m word data."""
+        fresh = choice == FRESH
+        inp = m if fresh else choice
+        step = (letter, inp, fresh)
+        memo = self.mask_memo.get(step)
+        if memo is None:
+            memo = self.mask_memo[step] = {}
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            i = low.bit_length() - 1
+            succ = memo.get(i)
+            if succ is None:
+                succ = memo[i] = self._intern_all(
+                    self._abstract_successors(self.config_of[i], letter, inp, fresh))
+                self.mask_entries += 1
+            out |= succ
+        if self.mask_entries > SUCCESSOR_MEMO_CAP:
+            self.mask_memo.clear()
+            self.mask_entries = 0
+        return out
+
 
 def engine_for(aut: RegisterAutomaton) -> Engine:
     """The one Engine of `aut`, built on first use and kept on its compiled
@@ -298,9 +377,10 @@ class _Exhausted(Exception):
 
 class _Budget:
     """A node budget; None means REGSYNC_MAX_NODES or DEFAULT_MAX_NODES.
-    `tick` counts one node and is False once more than `limit` are counted."""
+    `tick` counts one node and is False once more than `limit` are counted;
+    `queued` counts the sets a search adds to its dedup table."""
 
-    __slots__ = ("limit", "spent")
+    __slots__ = ("limit", "spent", "queued")
 
     def __init__(self, max_nodes: Optional[int]):
         if max_nodes is None:
@@ -309,46 +389,56 @@ class _Budget:
             raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.limit = max_nodes
         self.spent = 0
+        self.queued = 0
 
     def tick(self) -> bool:
         self.spent += 1
         return self.spent <= self.limit
 
 
-def _moves(eng: Engine, aset: AbstractConfigSet, max_data: Optional[int]):
-    choices = list(range(aset.word_data_count))
-    if max_data is None or aset.word_data_count < max_data:
+def _moves(n_letters: int, m: int, max_data: Optional[int]):
+    """The (letter, choice) moves from a set holding m word data."""
+    choices = list(range(m))
+    if max_data is None or m < max_data:
         choices.append(FRESH)
-    return [(letter, choice) for letter in range(eng.n_letters) for choice in choices]
+    return [(letter, choice) for letter in range(n_letters) for choice in choices]
 
 
-def _search_bfs(eng: Engine, root: AbstractConfigSet, goal: Callable,
+def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
                 max_length: Optional[int], max_data: Optional[int],
                 budget: _Budget) -> Optional[list]:
-    """The lexicographically least shortest nonempty move path from `root` to
-    a set satisfying `goal`, of at most `max_length` moves and `max_data`
-    word data (None: unbounded), or None when there is none.
+    """The lexicographically least shortest nonempty move path from `root`,
+    a set holding `data` word data, to a set satisfying `goal`, of at most
+    `max_length` moves and `max_data` word data (None: unbounded), or None
+    when there is none.
 
-    Moves are expanded in (letter, choice) order, first in first out, and
-    each set is queued once; every expanded move ticks `budget`, and the
-    search raises _Exhausted once the budget is spent.
+    `step(s, m, letter, choice)` is the successor of set `s` holding m word
+    data, in any hashable representation of sets.  Moves are expanded in
+    (letter, choice) order, first in first out, and each (set, word data)
+    node is queued once; every expanded move ticks `budget`, and the search
+    raises _Exhausted once the budget is spent.
     """
-    parents = {root: None}
-    queue = deque([(root, 0)])
+    start = (root, data)
+    parents = {start: None}
+    budget.queued += 1
+    queue = deque([(start, 0)])
     while queue:
-        aset, depth = queue.popleft()
+        node, depth = queue.popleft()
         if max_length is not None and depth >= max_length:
             continue
-        for letter, choice in _moves(eng, aset, max_data):
+        s, m = node
+        for letter, choice in _moves(n_letters, m, max_data):
             if not budget.tick():
                 raise _Exhausted
-            nxt = eng.abstract_post(aset, letter, choice)
-            if nxt in parents:
+            nxt = step(s, m, letter, choice)
+            key = (nxt, m + 1 if choice == FRESH else m)
+            if key in parents:
                 continue
-            parents[nxt] = (aset, (letter, choice))
+            parents[key] = (node, (letter, choice))
+            budget.queued += 1
             if goal(nxt):
-                return bfs_path(parents, nxt)[1]
-            queue.append((nxt, depth + 1))
+                return bfs_path(parents, key)[1]
+            queue.append((key, depth + 1))
     return None
 
 

@@ -24,9 +24,12 @@ from regsync.ra import (
 from regsync.semantics import (
     FRESH,
     AbstractConfigSet,
+    _Budget,
+    _Exhausted,
     bfs_path,
     engine_for,
     instantiate_choice_word,
+    is_synchronized,
 )
 
 
@@ -173,6 +176,103 @@ def concrete_merge(eng, q1, q2, pool):
                     return tuple(bfs_path(parents, nxt)[1])
                 queue.append(nxt)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference bounded NRA searches: breadth-first and iterative deepening over
+# tuple sets, as they were before the searches moved to interned bitmasks.
+# Each appends its dedup table(s) to `tables`.
+
+
+def _ref_moves(eng, aset, max_data):
+    choices = list(range(aset.word_data_count))
+    if max_data is None or aset.word_data_count < max_data:
+        choices.append(FRESH)
+    return [(letter, choice) for letter in range(eng.n_letters) for choice in choices]
+
+
+def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
+    parents = {root: None}
+    tables.append(parents)
+    queue = deque([(root, 0)])
+    while queue:
+        aset, depth = queue.popleft()
+        if max_length is not None and depth >= max_length:
+            continue
+        for letter, choice in _ref_moves(eng, aset, max_data):
+            if not budget.tick():
+                raise _Exhausted
+            nxt = eng.abstract_post(aset, letter, choice)
+            if nxt in parents:
+                continue
+            parents[nxt] = (aset, (letter, choice))
+            if goal(nxt):
+                return bfs_path(parents, nxt)[1]
+            queue.append((nxt, depth + 1))
+    return None
+
+
+def reference_search_iddfs(eng, root, goal, max_length, max_data, budget, tables):
+    def dls(aset, remaining, memo, path):
+        if memo.get(aset, -1) >= remaining:
+            return None
+        memo[aset] = remaining
+        if remaining == 0:
+            return None
+        for letter, choice in _ref_moves(eng, aset, max_data):
+            if not budget.tick():
+                raise _Exhausted
+            nxt = eng.abstract_post(aset, letter, choice)
+            path.append((letter, choice))
+            if goal(nxt):
+                return list(path)
+            hit = dls(nxt, remaining - 1, memo, path)
+            if hit is not None:
+                return hit
+            path.pop()
+        return None
+
+    for limit in range(1, max_length + 1):
+        memo = {}
+        tables.append(memo)
+        hit = dls(root, limit, memo, [])
+        if hit is not None:
+            return hit
+    return None
+
+
+def reference_outcome(aut, bound, bfs, max_data=None, max_nodes=None, universality=False):
+    """(kind, choice word, explored, queued) of bounded_sync_search, or of
+    bounded_universality_witness when `universality`, by the reference
+    searches; queued is the size of the dedup tables."""
+    eng = engine_for(aut)
+    if universality:
+        acc = aut.acceptance
+        root = AbstractConfigSet(tuple(c for c in eng.abstract_initial().configs
+                                       if c[0] == acc.initial), 0)
+
+        def goal(aset):
+            return all(loc not in acc.accepting for loc, _ in aset.configs)
+
+        if goal(root):
+            return ("Witness", (), 0, 0)
+    else:
+        root, goal = eng.abstract_initial(), is_synchronized
+    budget = _Budget(max_nodes)
+    tables = []
+    search = reference_search_bfs if bfs else reference_search_iddfs
+    try:
+        path = search(eng, root, goal, bound, max_data, budget, tables)
+    except _Exhausted:
+        return ("BudgetExhausted", None, budget.spent, sum(map(len, tables)))
+    if path is None:
+        return ("NoneWithinBound", None, budget.spent, sum(map(len, tables)))
+    return ("Witness", tuple(path), budget.spent, sum(map(len, tables)))
+
+
+def outcome_signature(out):
+    """reference_outcome's form of a bounded search outcome."""
+    return (type(out).__name__, getattr(out, "choice_word", None), out.explored, out.queued)
 
 
 def pair_state_shrink(aut, max_nodes=1_000_000):

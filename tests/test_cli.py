@@ -6,6 +6,7 @@ import pytest
 from regsync.cli import main
 from regsync.dsl import serialize_automaton
 from regsync.gadgets import gen_chain_dra
+from regsync.nra import SearchBudget, bounded_sync_search
 
 
 @pytest.fixture
@@ -106,9 +107,11 @@ class TestJsonMirror:
     def write(self, tmp_path, **overrides):
         payload = json.loads(serialize_automaton(gen_chain_dra(1), "json"))
         payload.update(overrides)
-        if "set" in overrides:
-            payload["transitions"][0]["set"] = overrides.pop("set")
-            del payload["set"]
+        for key in ("set", "when"):
+            if key in overrides:
+                payload["transitions"][0][key] = payload.pop(key)
+        if "location" in overrides:
+            payload["locations"][0]["name"] = payload.pop("location")
         path = tmp_path / "aut.json"
         path.write_text(json.dumps(payload))
         return str(path)
@@ -126,13 +129,27 @@ class TestJsonMirror:
         ({"set": ["r0", "*"]}, "bad set ['r0', '*']"),
         ({"set": "r0"}, "bad set 'r0'"),
         ({"transitions": [1]}, "malformed JSON automaton"),
+        ({"set": ["r5"]}, "update register r5 out of range"),
+        ({"when": "=r4"}, "guard register out of range: r4"),
+        ({"automaton": ["x"]}, "automaton name must be a string, not ['x']"),
+        ({"location": 7}, "location name must be a string, not 7"),
+        ({"alphabet": [None]}, "letter name must be a string, not None"),
     ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
-            "entry"])
+            "entry", "set-range", "guard-range", "automaton-name", "location-name",
+            "letter"])
     def test_malformed_is_a_parse_error(self, capsys, tmp_path, overrides, message):
         path = self.write(tmp_path, **overrides)
         code, _, err = run(capsys, "validate", path)
         assert code == 3
         assert err.startswith(f"{path}:1:1: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [{"set": ["r5"]}, {"when": "=r4"}],
+                             ids=["set-range", "guard-range"])
+    def test_out_of_range_register_is_a_parse_error_for_sync_dra(self, capsys, tmp_path,
+                                                                 overrides):
+        path = self.write(tmp_path, **overrides)
+        code, _, err = run(capsys, "sync-dra", path)
+        assert code == 3 and err.startswith(f"{path}:1:1: ") and "out of range" in err
 
     def test_set_star_updates_every_register(self, capsys, tmp_path):
         path = self.write(tmp_path, set=["*"])
@@ -229,14 +246,17 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "oracle", chain2_file, "--max-len", "2")
         assert code == 1
 
-    def test_json_report(self, capsys, fig4_file):
+    def test_json_report(self, capsys, fig4_file, fig4):
         code, out, _ = run(capsys, "--format", "json", "sync-bounded", fig4_file,
                            "--max-len", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["command"] == "sync-bounded"
         assert payload["outcome"] == "witness"
-        assert set(payload["stats"]) >= {"explored", "depth", "seconds"}
+        assert set(payload["stats"]) >= {"explored", "queued", "depth", "seconds"}
+        expected = bounded_sync_search(fig4, SearchBudget(3))
+        assert payload["stats"]["queued"] == expected.queued > 1
+        assert payload["stats"]["explored"] == expected.explored
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
