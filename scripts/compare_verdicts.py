@@ -7,9 +7,10 @@ Every query of the benchmark workload (`perfbench/inputs.generate`) goes
 through `perfbench/client.execute`, once in this checkout and once in the
 other, each checkout in its own subprocess with its own `src/` and
 `perfbench/`.  A verdict is compared by its decided flag, its result (the
-word, or the outcome type with its witness and `explored` count, or the
-exception type with `explored` and `phase`) and `dra1`; other search
-statistics are not compared.  Prints the number of differing verdicts and
+word, or the outcome type with its witness, or the exception type with
+`explored` and `phase`) and `dra1`.  The search statistics of an outcome
+(`explored`, `queued`, `pruned`) count work, not answers, so they are not
+compared: a change to a search's pruning moves them by design.  Prints the number of differing verdicts and
 the seconds per query kind in each checkout, and exits 1 on any difference.
 """
 
@@ -27,7 +28,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 # Outcome fields that count work rather than state the answer.
-STATISTICS = ("queued",)
+STATISTICS = ("explored", "queued", "pruned")
 
 
 def _result(result):

@@ -50,7 +50,7 @@ def counters(n_max):
         aut = gen_counter_nra(n)
         length = 2**n + 2
         t0 = time.perf_counter()
-        out = bounded_sync_search(aut, SearchBudget(length), bfs=True)
+        out = bounded_sync_search(aut, SearchBudget(length))
         dt = time.perf_counter() - t0
         assert isinstance(out, Witness)
         multiplicity = max(sum(1 for _, x in out.word if x == d) for _, d in out.word)
@@ -71,7 +71,7 @@ def towers(n_max, budget):
             continue
         t0 = time.perf_counter()
         out = bounded_sync_search(
-            aut, SearchBudget(16, max_distinct_data=need, max_nodes=budget), bfs=True)
+            aut, SearchBudget(16, max_distinct_data=need, max_nodes=budget))
         dt = time.perf_counter() - t0
         if isinstance(out, Witness):
             print(f"tower({n}): witness with {len(word_data(out.word))} data "

@@ -3,9 +3,10 @@
 Exit codes: 0 decided/produced, 1 negative decision, 2 inconclusive or
 budget exhausted, 3 usage or parse error.  Reports print as text or, with
 --format json, as {command, outcome, witness?, stats{explored, queued,
-depth, seconds}}, where queued counts the sets (for emptiness, the states)
-a search added to its dedup table; an inconclusive sync-dra adds
-stats.phase, the search that ran out ("shrink" or "merge").
+pruned, depth, seconds}}, where queued counts the sets (for emptiness, the
+states) a search added to its dedup table and pruned the sets it dropped by
+subsumption; an inconclusive sync-dra adds stats.phase, the search that ran
+out ("shrink" or "merge").
 REGSYNC_MAX_NODES sets the default node budget.
 """
 
@@ -93,7 +94,8 @@ def _emit(report: Report, fmt: str, started: float) -> int:
 
 
 def _search_report(command, aut, outcome, negative_text) -> Report:
-    stats = {"explored": outcome.explored, "queued": outcome.queued}
+    stats = {"explored": outcome.explored, "queued": outcome.queued,
+             "pruned": outcome.pruned}
     match outcome:
         case nra.Witness(word=word):
             return Report(command, "witness", EXIT_OK, format_word(aut, word),
@@ -130,14 +132,13 @@ def _cmd_sync_dra(args) -> Report:
 def _cmd_sync_bounded(args) -> Report:
     aut = _load(args.file)
     budget = nra.SearchBudget(args.max_len, args.max_data, args.max_nodes)
-    outcome = nra.bounded_sync_search(aut, budget, bfs=args.bfs)
+    outcome = nra.bounded_sync_search(aut, budget)
     return _search_report("sync-bounded", aut, outcome, "no word within bound")
 
 
 def _cmd_universality(args) -> Report:
     aut = _load(args.file)
-    outcome = nra.bounded_universality_witness(aut, args.bound, max_nodes=args.max_nodes,
-                                               bfs=args.bfs)
+    outcome = nra.bounded_universality_witness(aut, args.bound, max_nodes=args.max_nodes)
     return _search_report("universality", aut, outcome, "universal up to bound")
 
 
@@ -215,11 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--max-data", type=int, default=None)
-    p.add_argument("--bfs", action="store_true", help="shortest-witness breadth-first mode")
     p = sub.add_parser("universality", help="length-bounded universality counterexample")
     common(p)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--bfs", action="store_true")
     p = sub.add_parser("emptiness", help="bounded non-emptiness witness")
     common(p)
     p.add_argument("--bound", type=int, required=True)

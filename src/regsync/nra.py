@@ -5,8 +5,12 @@ abstract configuration set and explore choice words; freshness suffices as
 the only non-seen datum per step (data outside all seen data and register
 contents are interchangeable up to bijection), so the search is exact within
 its bounds: NoneWithinBound is a proof of absence, not a heuristic.  Both
-searches carry a set as an int bitmask over the configurations the Engine
-interns, and their goals are mask tests (see semantics).
+run the one breadth-first search of `semantics._search_bfs`, carry a set as
+an int bitmask over the configurations the Engine interns, and test their
+goals on masks.  The search drops a set when it already kept a subset of it
+with the same word data count: the abstract post is monotone and both goals
+are closed under nonempty subsets, so the pruning is exact, and every
+witness is the lexicographically least shortest one.
 
 The general synchronization problem for NRAs is undecidable, so only
 bounded-exact and budget-limited modes exist here.
@@ -21,11 +25,9 @@ from typing import Optional
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
     AbstractConfigSet,
-    FRESH,
     Engine,
     _Budget,
     _Exhausted,
-    _moves,
     _partitions,
     _search_bfs,
     bfs_path,
@@ -41,6 +43,15 @@ class SearchBudget:
     max_distinct_data: Optional[int] = None
     max_nodes: Optional[int] = None  # None: REGSYNC_MAX_NODES or 1e6
 
+    def __post_init__(self):
+        if self.max_distinct_data is not None and self.max_distinct_data < 0:
+            raise ValueError(f"max_distinct_data must be >= 0, got {self.max_distinct_data}")
+
+
+# Search statistics: `explored` moves expanded, `queued` sets (for
+# non-emptiness, states) added to the dedup table, `pruned` sets dropped
+# by subsumption.
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -48,85 +59,53 @@ class Witness:
     word: tuple
     explored: int = 0
     queued: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
 class NoneWithinBound:
     explored: int = 0
     queued: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
 class BudgetExhausted:
     explored: int
     queued: int = 0
+    pruned: int = 0
 
 
-def _search_iddfs(step, n_letters: int, root, data: int, goal, max_length: int,
-                  max_data: Optional[int], budget: _Budget) -> Optional[list]:
-    """Iterative deepening with _search_bfs's contract, except that the path
-    found need not be the lexicographically least; memo keeps the best
-    remaining depth per (set, word data) node so a revisit is pruned only
-    when an earlier visit had at least as much depth left."""
-
-    def dls(node, remaining, memo, path):
-        best = memo.get(node, -1)
-        if best >= remaining:
-            return None
-        if best < 0:
-            budget.queued += 1
-        memo[node] = remaining
-        if remaining == 0:
-            return None
-        s, m = node
-        for letter, choice in _moves(n_letters, m, max_data):
-            if not budget.tick():
-                raise _Exhausted
-            nxt = step(s, m, letter, choice)
-            path.append((letter, choice))
-            if goal(nxt):
-                return list(path)
-            hit = dls((nxt, m + 1 if choice == FRESH else m), remaining - 1, memo, path)
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    for limit in range(1, max_length + 1):
-        hit = dls((root, data), limit, {}, [])
-        if hit is not None:
-            return hit
-    return None
-
-
-def _search(eng: Engine, configs, goal, budget: SearchBudget, bfs: bool, empty_word: bool):
-    """The outcome of a search from the set `configs` for a set of interned
-    ids satisfying `goal`; `empty_word` lets the empty word be the witness."""
+def _search(eng: Engine, configs, goal, budget: SearchBudget, empty_word: bool):
+    """The outcome of the pruned breadth-first search from the set `configs`
+    for a set of interned ids satisfying `goal`; `empty_word` lets the empty
+    word be the witness."""
     tick = _Budget(budget.max_nodes)
-    search = _search_bfs if bfs else _search_iddfs
     root = eng.mask_root(configs)
     try:
-        path = () if empty_word and goal(root) else search(
+        path = () if empty_word and goal(root) else _search_bfs(
             eng.mask_post, eng.n_letters, root, 0, goal, budget.max_length,
-            budget.max_distinct_data, tick)
+            budget.max_distinct_data, tick, prune=True)
     except _Exhausted:
-        return BudgetExhausted(tick.spent, tick.queued)
+        return BudgetExhausted(tick.spent, tick.queued, tick.pruned)
     if path is None:
-        return NoneWithinBound(tick.spent, tick.queued)
+        return NoneWithinBound(tick.spent, tick.queued, tick.pruned)
     cword = tuple(path)
     return Witness(cword, instantiate_choice_word(cword, range(len(cword))), tick.spent,
-                   tick.queued)
+                   tick.queued, tick.pruned)
 
 
-def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool = False):
+def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool = True):
     """Witness iff some data word of length <= max_length (and distinct data
-    <= max_distinct_data when set) synchronizes; NoneWithinBound is exact."""
+    <= max_distinct_data when set) synchronizes; NoneWithinBound is exact.
+    The witness is the lexicographically least shortest one.  `bfs` is
+    ignored: every bounded search is breadth-first."""
     if not is_complete(aut):
         raise StructuralError("bounded_sync_search needs a complete automaton")
     if budget.max_length < 1:
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
     eng = engine_for(aut)
-    return _search(eng, eng.abstract_initial().configs, eng.mask_synchronized, budget, bfs,
+    return _search(eng, eng.abstract_initial().configs, eng.mask_synchronized, budget,
                    empty_word=False)
 
 
@@ -137,12 +116,16 @@ def _universality_root(eng: Engine, initial: int) -> AbstractConfigSet:
 
 
 def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
-                                 max_nodes: Optional[int] = None, bfs: bool = False):
-    """A data word of length <= bound outside the language, or NoneWithinBound
-    (= universal up to the bound).  The initial valuation is existential:
-    the root carries every register partition at the initial location."""
+                                 max_nodes: Optional[int] = None, bfs: bool = True):
+    """The lexicographically least shortest data word of length <= bound
+    outside the language, or NoneWithinBound (= universal up to the bound).
+    The initial valuation is existential: the root carries every register
+    partition at the initial location.  `bfs` is ignored, as in
+    bounded_sync_search."""
     if aut.acceptance is None:
         raise ValueError("bounded_universality_witness needs acceptance structure")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     eng = engine_for(aut)  # validates, including the initial-update rule
     accepting = aut.acceptance.accepting
 
@@ -151,7 +134,7 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
         return not any(mask & eng.location_masks[loc] for loc in accepting)
 
     root = _universality_root(eng, aut.acceptance.initial)
-    return _search(eng, root.configs, rejected, SearchBudget(bound, None, max_nodes), bfs,
+    return _search(eng, root.configs, rejected, SearchBudget(bound, None, max_nodes),
                    empty_word=True)
 
 
@@ -181,6 +164,8 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     """
     if aut.acceptance is None:
         raise ValueError("nonemptiness_witness needs acceptance structure")
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     eng = engine_for(aut)
     acc = aut.acceptance
     k = aut.registers

@@ -22,6 +22,11 @@ configurations the Engine interns as small ids: a step ORs memoized
 successor masks, and dedup hashes one int.  Ids outlive the mask memo; the
 intern table is cleared only at the root of a search, once it holds more
 than SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.
+
+`_search_bfs`, the one breadth-first search over abstract sets, prunes mask
+sets by subsumption for the NRA searches (the antichain idea of De Wulf,
+Doyen, Henzinger and Raskin, CAV 2006); the DRA shrink's tuple sets are not
+pruned.
 """
 
 from __future__ import annotations
@@ -255,26 +260,41 @@ class Engine:
         return AbstractConfigSet(tuple(sorted(out)), new_m)
 
     def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> tuple:
-        """The canonical successors of one abstract configuration on input `inp`."""
+        """The canonical successors of one canonical abstract configuration
+        on input `inp`."""
         loc, values = config
-        variants = [values]
         if fresh:
-            # Branch (a): the fresh datum differs from every Sym block;
-            # branches (b): it resolves exactly one block to Word(inp).
-            for b in dict.fromkeys(v for v in values if v < 0):
-                variants.append(tuple(inp if v == b else v for v in values))
-        out = set()
-        for vals in variants:
+            # Branch (a): the fresh datum differs from every Sym block and
+            # word datum, so it equals no register; branches (b): it
+            # resolves exactly one block b to Word(inp) and equals the
+            # registers b held.  The later blocks move up one, which keeps
+            # each variant canonical.
+            blocks = {}
+            for j, v in enumerate(values):
+                if v < 0:
+                    blocks[v] = blocks.get(v, 0) | 1 << j
+            variants = [(values, 0)]
+            for b, sigma in blocks.items():
+                variants.append((tuple(inp if v == b else v + 1 if v < b else v
+                                       for v in values), sigma))
+        else:
             sigma = 0
-            for j, v in enumerate(vals):
+            for j, v in enumerate(values):
                 if v == inp:
                     sigma |= 1 << j
-            for mask, update, target in self.table[loc][letter]:
+            variants = [(values, sigma)]
+        out = set()
+        cell = self.table[loc][letter]
+        for vals, sigma in variants:
+            for mask, update, target in cell:
                 if mask >> sigma & 1:
-                    nv = list(vals)
-                    for r in update:
-                        nv[r] = inp
-                    out.add((target, _canon_values(nv)))
+                    if update:
+                        nv = list(vals)
+                        for r in update:
+                            nv[r] = inp
+                        out.add((target, _canon_values(nv)))
+                    else:
+                        out.add((target, vals))
         return tuple(out)
 
     def abstract_run(self, cword, start: Optional[AbstractConfigSet] = None) -> AbstractConfigSet:
@@ -378,9 +398,10 @@ class _Exhausted(Exception):
 class _Budget:
     """A node budget; None means REGSYNC_MAX_NODES or DEFAULT_MAX_NODES.
     `tick` counts one node and is False once more than `limit` are counted;
-    `queued` counts the sets a search adds to its dedup table."""
+    `queued` counts the sets a search adds to its dedup table, and `pruned`
+    those it drops by subsumption."""
 
-    __slots__ = ("limit", "spent", "queued")
+    __slots__ = ("limit", "spent", "queued", "pruned")
 
     def __init__(self, max_nodes: Optional[int]):
         if max_nodes is None:
@@ -390,6 +411,7 @@ class _Budget:
         self.limit = max_nodes
         self.spent = 0
         self.queued = 0
+        self.pruned = 0
 
     def tick(self) -> bool:
         self.spent += 1
@@ -404,9 +426,23 @@ def _moves(n_letters: int, m: int, max_data: Optional[int]):
     return [(letter, choice) for letter in range(n_letters) for choice in choices]
 
 
+def _subsumed(buckets: dict, mask: int) -> bool:
+    """Whether some kept mask is a subset of `mask`.  `buckets` maps the
+    lowest bit of each kept mask to the kept masks with that lowest bit, so
+    only the buckets of `mask`'s own bits can hold a subset."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for kept in buckets.get(low, ()):
+            if not kept & ~mask:
+                return True
+    return False
+
+
 def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
                 max_length: Optional[int], max_data: Optional[int],
-                budget: _Budget) -> Optional[list]:
+                budget: _Budget, prune: bool = False) -> Optional[list]:
     """The lexicographically least shortest nonempty move path from `root`,
     a set holding `data` word data, to a set satisfying `goal`, of at most
     `max_length` moves and `max_data` word data (None: unbounded), or None
@@ -415,17 +451,29 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
     `step(s, m, letter, choice)` is the successor of set `s` holding m word
     data, in any hashable representation of sets.  Moves are expanded in
     (letter, choice) order, first in first out, and each (set, word data)
-    node is queued once; every expanded move ticks `budget`, and the search
-    raises _Exhausted once the budget is spent.
+    node enters the dedup table once; every expanded move ticks `budget`,
+    and the search raises _Exhausted once the budget is spent.
+
+    With `prune`, sets are int bitmasks, and a new node that fails `goal`
+    is dropped (counted in `budget.pruned`) when the search already kept a
+    node with the same word data count whose set is a subset of its set.
+    This is exact when `step` is monotone under inclusion and `goal` is
+    closed under nonempty subsets: the kept node was found no later in
+    breadth-first order, so every path from the dropped one has a path
+    from the kept one that is no longer and no greater.  Nodes at depth
+    `max_length` are never expanded, so they are neither put on the queue
+    nor kept.
     """
     start = (root, data)
     parents = {start: None}
     budget.queued += 1
-    queue = deque([(start, 0)])
+    kept = {}  # word data count -> {lowest bit: kept masks}, with `prune`
+    if prune:
+        kept[data] = {root & -root: [root]}
+    queue = deque([(start, 0)] if max_length is None or max_length > 0 else ())
     while queue:
         node, depth = queue.popleft()
-        if max_length is not None and depth >= max_length:
-            continue
+        last = max_length is not None and depth + 1 >= max_length
         s, m = node
         for letter, choice in _moves(n_letters, m, max_data):
             if not budget.tick():
@@ -438,6 +486,14 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
             budget.queued += 1
             if goal(nxt):
                 return bfs_path(parents, key)[1]
+            if last:
+                continue
+            if prune:
+                buckets = kept.setdefault(key[1], {})
+                if _subsumed(buckets, nxt):
+                    budget.pruned += 1
+                    continue
+                buckets.setdefault(nxt & -nxt, []).append(nxt)
             queue.append((key, depth + 1))
     return None
 

@@ -26,6 +26,7 @@ from regsync.semantics import (
     AbstractConfigSet,
     _Budget,
     _Exhausted,
+    _canon_values,
     bfs_path,
     engine_for,
     instantiate_choice_word,
@@ -179,9 +180,9 @@ def concrete_merge(eng, q1, q2, pool):
 
 
 # ---------------------------------------------------------------------------
-# Reference bounded NRA searches: breadth-first and iterative deepening over
-# tuple sets, as they were before the searches moved to interned bitmasks.
-# Each appends its dedup table(s) to `tables`.
+# Reference bounded NRA search: breadth-first over tuple sets with no
+# pruning, as it was before the searches moved to interned bitmasks and
+# subsumption pruning.  It appends its dedup table to `tables`.
 
 
 def _ref_moves(eng, aset, max_data):
@@ -212,39 +213,10 @@ def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
     return None
 
 
-def reference_search_iddfs(eng, root, goal, max_length, max_data, budget, tables):
-    def dls(aset, remaining, memo, path):
-        if memo.get(aset, -1) >= remaining:
-            return None
-        memo[aset] = remaining
-        if remaining == 0:
-            return None
-        for letter, choice in _ref_moves(eng, aset, max_data):
-            if not budget.tick():
-                raise _Exhausted
-            nxt = eng.abstract_post(aset, letter, choice)
-            path.append((letter, choice))
-            if goal(nxt):
-                return list(path)
-            hit = dls(nxt, remaining - 1, memo, path)
-            if hit is not None:
-                return hit
-            path.pop()
-        return None
-
-    for limit in range(1, max_length + 1):
-        memo = {}
-        tables.append(memo)
-        hit = dls(root, limit, memo, [])
-        if hit is not None:
-            return hit
-    return None
-
-
-def reference_outcome(aut, bound, bfs, max_data=None, max_nodes=None, universality=False):
+def reference_outcome(aut, bound, max_data=None, max_nodes=None, universality=False):
     """(kind, choice word, explored, queued) of bounded_sync_search, or of
     bounded_universality_witness when `universality`, by the reference
-    searches; queued is the size of the dedup tables."""
+    search; queued is the size of its dedup table."""
     eng = engine_for(aut)
     if universality:
         acc = aut.acceptance
@@ -260,14 +232,36 @@ def reference_outcome(aut, bound, bfs, max_data=None, max_nodes=None, universali
         root, goal = eng.abstract_initial(), is_synchronized
     budget = _Budget(max_nodes)
     tables = []
-    search = reference_search_bfs if bfs else reference_search_iddfs
     try:
-        path = search(eng, root, goal, bound, max_data, budget, tables)
+        path = reference_search_bfs(eng, root, goal, bound, max_data, budget, tables)
     except _Exhausted:
         return ("BudgetExhausted", None, budget.spent, sum(map(len, tables)))
     if path is None:
         return ("NoneWithinBound", None, budget.spent, sum(map(len, tables)))
     return ("Witness", tuple(path), budget.spent, sum(map(len, tables)))
+
+
+def reference_abstract_successors(eng, config, letter, inp, fresh):
+    """Reference for Engine._abstract_successors: every variant's input
+    equalities found by scanning its values, every successor canonicalized."""
+    loc, values = config
+    variants = [values]
+    if fresh:
+        for b in dict.fromkeys(v for v in values if v < 0):
+            variants.append(tuple(inp if v == b else v for v in values))
+    out = set()
+    for vals in variants:
+        sigma = 0
+        for j, v in enumerate(vals):
+            if v == inp:
+                sigma |= 1 << j
+        for mask, update, target in eng.table[loc][letter]:
+            if mask >> sigma & 1:
+                nv = list(vals)
+                for r in update:
+                    nv[r] = inp
+                out.add((target, _canon_values(nv)))
+    return tuple(out)
 
 
 def outcome_signature(out):

@@ -186,8 +186,8 @@ def test_criterion_5_counter_family():
     stats = {}
     for n, min_len in ((1, 4), (2, 6)):
         aut = gen_counter_nra(n)
-        assert isinstance(bounded_sync_search(aut, SearchBudget(min_len), bfs=True), Witness)
-        assert isinstance(bounded_sync_search(aut, SearchBudget(min_len - 1), bfs=True),
+        assert isinstance(bounded_sync_search(aut, SearchBudget(min_len)), Witness)
+        assert isinstance(bounded_sync_search(aut, SearchBudget(min_len - 1)),
                           NoneWithinBound)
         witnesses = list(_all_witness_choice_words(aut, min_len))
         assert witnesses, f"counter({n}) has no witness at length {min_len}"
@@ -208,10 +208,10 @@ def test_criterion_6_tower_family():
     aut = gen_tower_nra(2)
     bound = 16
     negative = bounded_sync_search(
-        aut, SearchBudget(bound, max_distinct_data=3, max_nodes=50_000_000), bfs=True)
+        aut, SearchBudget(bound, max_distinct_data=3, max_nodes=50_000_000))
     assert isinstance(negative, NoneWithinBound)
     positive = bounded_sync_search(
-        aut, SearchBudget(bound, max_distinct_data=4, max_nodes=50_000_000), bfs=True)
+        aut, SearchBudget(bound, max_distinct_data=4, max_nodes=50_000_000))
     assert isinstance(positive, Witness)
     assert len(word_data(positive.word)) == 4
     assert oracle_is_synchronizing(aut, positive.word)
@@ -262,8 +262,8 @@ def _nonuniv_to_sync_leg(instances):
     for aut in instances:
         out = reduce_nonuniv_to_sync(aut)
         for bound in range(0, 5):
-            univ = bounded_universality_witness(aut, bound, bfs=True)
-            sync = bounded_sync_search(out, SearchBudget(bound + 2), bfs=True)
+            univ = bounded_universality_witness(aut, bound)
+            sync = bounded_sync_search(out, SearchBudget(bound + 2))
             assert not isinstance(univ, rs.BudgetExhausted)
             assert not isinstance(sync, rs.BudgetExhausted)
             assert isinstance(univ, Witness) == isinstance(sync, Witness), (aut, bound)
@@ -361,7 +361,7 @@ def _sync_to_nonuniv_leg(rng, cert_count, search_count):
         comp = reduce_sync_to_nonuniv(src)
         if not all(rs.inequality_update_check(src)):
             # not synchronizable; the output is the universal automaton
-            assert isinstance(bounded_universality_witness(comp, 3, bfs=True),
+            assert isinstance(bounded_universality_witness(comp, 3),
                               NoneWithinBound)
             continue
         cert = _sync_cert(src, 4)
@@ -377,7 +377,7 @@ def _sync_to_nonuniv_leg(rng, cert_count, search_count):
         certified += 1
         if searched < search_count and len(src.locations) <= 2:
             found = bounded_universality_witness(
-                comp, len(encoding), max_nodes=20_000_000, bfs=True)
+                comp, len(encoding), max_nodes=20_000_000)
             assert isinstance(found, Witness), (src, cert)
             assert not accepts(comp, found.word)
             searched += 1

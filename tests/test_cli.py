@@ -5,7 +5,7 @@ import pytest
 
 from regsync.cli import main
 from regsync.dsl import serialize_automaton
-from regsync.gadgets import gen_chain_dra
+from regsync.gadgets import gen_chain_dra, gen_counter_nra
 from regsync.nra import SearchBudget, bounded_sync_search
 
 
@@ -19,6 +19,15 @@ def chain2_file(tmp_path):
 @pytest.fixture
 def fig4_file():
     return str(pathlib.Path(__file__).parent / "data" / "fig4.ra")
+
+
+@pytest.fixture
+def univ_file(tmp_path):
+    path = tmp_path / "univ.ra"
+    path.write_text("automaton u\nregisters 1\nalphabet a\n"
+                    "location q initial accepting\n"
+                    "trans q -> q on a when true set *\n")
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -199,12 +208,8 @@ class TestGen:
 
 
 class TestOtherCommands:
-    def test_universality(self, capsys, tmp_path):
-        path = tmp_path / "univ.ra"
-        path.write_text("automaton u\nregisters 1\nalphabet a\n"
-                        "location q initial accepting\n"
-                        "trans q -> q on a when true set *\n")
-        code, out, _ = run(capsys, "universality", str(path), "--bound", "3")
+    def test_universality(self, capsys, univ_file):
+        code, out, _ = run(capsys, "universality", univ_file, "--bound", "3")
         assert code == 1 and "universal" in out
 
     def test_emptiness(self, capsys, tmp_path):
@@ -246,17 +251,28 @@ class TestOtherCommands:
         code, _, _ = run(capsys, "oracle", chain2_file, "--max-len", "2")
         assert code == 1
 
-    def test_json_report(self, capsys, fig4_file, fig4):
+    def test_json_report(self, capsys, fig4_file, fig4, tmp_path):
         code, out, _ = run(capsys, "--format", "json", "sync-bounded", fig4_file,
                            "--max-len", "3")
         assert code == 0
         payload = json.loads(out)
         assert payload["command"] == "sync-bounded"
         assert payload["outcome"] == "witness"
-        assert set(payload["stats"]) >= {"explored", "queued", "depth", "seconds"}
+        assert set(payload["stats"]) >= {"explored", "queued", "pruned", "depth", "seconds"}
         expected = bounded_sync_search(fig4, SearchBudget(3))
         assert payload["stats"]["queued"] == expected.queued > 1
         assert payload["stats"]["explored"] == expected.explored
+        assert payload["stats"]["pruned"] == expected.pruned
+        # a search that prunes: counter(1) at length 4
+        counter = gen_counter_nra(1)
+        path = tmp_path / "counter1.ra"
+        path.write_text(serialize_automaton(counter))
+        code, out, _ = run(capsys, "--format", "json", "sync-bounded", str(path),
+                           "--max-len", "4")
+        stats = json.loads(out)["stats"]
+        expected = bounded_sync_search(counter, SearchBudget(4))
+        assert code == 0 and stats["pruned"] == expected.pruned > 0
+        assert (stats["explored"], stats["queued"]) == (expected.explored, expected.queued)
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io
@@ -294,14 +310,27 @@ class TestOtherCommands:
         ("sync-dra", "chain2"),
         ("oracle", "chain2", "--max-len", "3"),
         ("sync-bounded", "fig4", "--max-len", "3"),
-        ("sync-bounded", "fig4", "--max-len", "3", "--bfs"),
-    ], ids=["sync-dra", "oracle", "sync-bounded", "sync-bounded-bfs"])
+        ("universality", "univ", "--bound", "3"),
+    ], ids=["sync-dra", "oracle", "sync-bounded", "universality"])
     def test_negative_node_budget_is_a_usage_error(self, capsys, chain2_file, fig4_file,
-                                                    monkeypatch, argv):
-        files = {"chain2": chain2_file, "fig4": fig4_file}
+                                                    univ_file, monkeypatch, argv):
+        files = {"chain2": chain2_file, "fig4": fig4_file, "univ": univ_file}
         argv = [files.get(a, a) for a in argv]
         code, _, err = run(capsys, *argv, "--max-nodes", "-1")
         assert code == 3 and "max_nodes must be >= 0" in err
         monkeypatch.setenv("REGSYNC_MAX_NODES", "-1")
         code, _, err = run(capsys, *argv)
         assert code == 3 and "max_nodes must be >= 0" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("universality", "univ", "--bound", "-1"), "bound must be >= 0"),
+        (("emptiness", "univ", "--bound", "-1"), "bound must be >= 0"),
+        (("sync-bounded", "fig4", "--max-len", "3", "--max-data", "-1"),
+         "max_distinct_data must be >= 0"),
+    ], ids=["universality", "emptiness", "sync-bounded-max-data"])
+    def test_negative_bound_is_a_usage_error(self, capsys, fig4_file, univ_file, argv,
+                                             message):
+        files = {"fig4": fig4_file, "univ": univ_file}
+        code, _, err = run(capsys, *[files.get(a, a) for a in argv])
+        assert code == 3 and message in err
+

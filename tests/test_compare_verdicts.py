@@ -19,14 +19,35 @@ def test_checkout_agrees_with_itself():
     assert "decide seed 1: 4 queries, 0 differing verdict(s)" in done.stdout
 
 
-def test_a_differing_verdict_fails(tmp_path):
+def patched_checkout(tmp_path, patch):
+    """A copy of this checkout whose perfbench client ends with `patch`."""
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__", "out"))
     with open(tmp_path / "perfbench" / "client.py", "a") as handle:
-        handle.write("\n_execute = execute\n\n\ndef execute(query):\n"
+        handle.write(patch)
+    return tmp_path
+
+
+def test_a_differing_verdict_fails(tmp_path):
+    patched_checkout(tmp_path, "\n_execute = execute\n\n\ndef execute(query):\n"
                      "    verdict = _execute(query)\n"
                      "    return Verdict(not verdict.decided, verdict.result, verdict.dra1)\n")
     done = compare(tmp_path, limit=2)
     assert done.returncode == 1, done.stderr
     assert "2 differing verdict(s)" in done.stdout
+
+
+def test_search_statistics_are_not_compared(tmp_path):
+    # the first query is a bounded NRA search; its statistics count work
+    patched_checkout(tmp_path, "\nimport dataclasses\n\n_execute = execute\n\n\n"
+                     "def execute(query):\n"
+                     "    verdict = _execute(query)\n"
+                     "    result = verdict.result\n"
+                     "    if query.kind in ('sync-bounded', 'universality'):\n"
+                     "        result = dataclasses.replace(result, explored=result.explored + 1,\n"
+                     "                                     queued=0, pruned=result.pruned + 1)\n"
+                     "    return Verdict(verdict.decided, result, verdict.dra1)\n")
+    done = compare(tmp_path, limit=1)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "decide seed 1: 1 queries, 0 differing verdict(s)" in done.stdout

@@ -95,7 +95,7 @@ class TestChainBehavior:
 class TestCounterBehavior:
     def test_counter1_witness_repeats_datum(self):
         aut = gen_counter_nra(1)
-        out = bounded_sync_search(aut, SearchBudget(4), bfs=True)
+        out = bounded_sync_search(aut, SearchBudget(4))
         assert isinstance(out, Witness)
         counts = {}
         for _, d in out.word:
@@ -104,7 +104,7 @@ class TestCounterBehavior:
 
     def test_counter1_minimal_length_is_four(self):
         aut = gen_counter_nra(1)
-        assert isinstance(bounded_sync_search(aut, SearchBudget(3), bfs=True),
+        assert isinstance(bounded_sync_search(aut, SearchBudget(3)),
                           NoneWithinBound)
 
 
@@ -148,7 +148,7 @@ class TestNonunivToSync:
         src = automaton("univ", ["q"], 1, ["a"],
                         [("q", "a", TRUE, {0}, "q")], acceptance=("q", ["q"]))
         out = reduce_nonuniv_to_sync(src)
-        assert isinstance(bounded_sync_search(out, SearchBudget(5), bfs=True),
+        assert isinstance(bounded_sync_search(out, SearchBudget(5)),
                           NoneWithinBound)
 
     def test_requires_acceptance(self):
@@ -252,7 +252,7 @@ class TestSyncToNonuniv:
 
     def test_synchronizable_input_has_nonuniv_witness(self):
         out = reduce_sync_to_nonuniv(self.tiny_sync())
-        witness = bounded_universality_witness(out, 7, bfs=True)
+        witness = bounded_universality_witness(out, 7)
         assert isinstance(witness, Witness)
         assert not accepts(out, witness.word)
 

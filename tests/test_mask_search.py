@@ -1,30 +1,54 @@
-"""The bounded NRA searches over interned bitmask sets against the tuple-set
-searches they replace (kept in helpers as reference_search_bfs and
-reference_search_iddfs): the same path or None, or exhaustion at the same
-node, and the same number of sets queued."""
+"""The bounded NRA searches (interned bitmask sets, subsumption pruning)
+against the unpruned tuple-set search they replace (kept in helpers as
+reference_search_bfs) and against the brute-force oracle.  When the
+reference decides within its node budget, the pruned search gives the same
+outcome and witness and explores no more nodes; when the reference runs
+out, the pruned search may decide, and the oracle then agrees."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsync import semantics
+from regsync import oracle, semantics
 from regsync.gadgets import gen_counter_nra, reduce_nonuniv_to_sync
-from regsync.nra import SearchBudget, bounded_sync_search, bounded_universality_witness
-from regsync.semantics import FRESH, AbstractConfigSet, Engine, engine_for, is_synchronized
-from helpers import outcome_signature, random_complete_automaton, reference_outcome
+from regsync.nra import (
+    BudgetExhausted,
+    SearchBudget,
+    Witness,
+    bounded_sync_search,
+    bounded_universality_witness,
+)
+from regsync.oracle import OracleParams, oracle_is_synchronizing, oracle_min_length
+from regsync.semantics import (
+    FRESH,
+    AbstractConfigSet,
+    Engine,
+    _subsumed,
+    engine_for,
+    instantiate_choice_word,
+    is_synchronized,
+)
+from helpers import (
+    all_choice_words,
+    outcome_signature,
+    random_complete_automaton,
+    reference_outcome,
+)
 
-MODES = [True, False]
-MODE_IDS = ["bfs", "iddfs"]
+# `bfs=` is inert: both values run the one pruned breadth-first search.  The
+# ids name the search modes the keyword once selected.
+KEYWORD = [True, False]
+KEYWORD_IDS = ["bfs", "iddfs"]
 
 
-def sync_outcome(aut, bound, bfs, max_data=None, max_nodes=None):
-    out = bounded_sync_search(aut, SearchBudget(bound, max_data, max_nodes), bfs=bfs)
-    return outcome_signature(out)
+def sync_outcome(aut, bound, bfs=True, max_data=None, max_nodes=None):
+    return bounded_sync_search(aut, SearchBudget(bound, max_data, max_nodes), bfs=bfs)
 
 
-def univ_outcome(aut, bound, bfs, max_nodes=None):
-    return outcome_signature(bounded_universality_witness(aut, bound, max_nodes, bfs=bfs))
+def univ_outcome(aut, bound, bfs=True, max_nodes=None):
+    return bounded_universality_witness(aut, bound, max_nodes, bfs=bfs)
 
 
 def acceptance_nras(seed, count):
@@ -35,6 +59,61 @@ def acceptance_nras(seed, count):
 
 def decode(eng, mask):
     return tuple(sorted(c for i, c in enumerate(eng.config_of) if mask >> i & 1))
+
+
+def concrete_rejects(aut, word):
+    """No run over `word` from the initial location ends accepting, under any
+    initial valuation over data(word) and k more data (see oracle_post)."""
+    acc = aut.acceptance
+    data = sorted({d for _, d in word})
+    top = max(data, default=-1) + 1
+    pool = data + [top + i for i in range(aut.registers)]
+    configs = frozenset((acc.initial, values)
+                        for values in itertools.product(pool, repeat=aut.registers))
+    memo = {}
+    for letter, datum in word:
+        configs = oracle._post_once(aut, configs, letter, datum, memo)
+    return not any(loc in acc.accepting for loc, _ in configs)
+
+
+def oracle_agrees(aut, out, bound, max_data=None, universality=False):
+    """Whether brute force confirms a decided outcome: a witness of least
+    length, or that no word within the bounds exists."""
+    if universality:
+        shortest = min((len(cword) for cword in all_choice_words(len(aut.alphabet), bound)
+                        if concrete_rejects(aut, instantiate_choice_word(cword, range(bound)))),
+                       default=None)
+        found = isinstance(out, Witness) and concrete_rejects(aut, out.word)
+    else:
+        pool = bound if max_data is None else max_data
+        shortest = oracle_min_length(aut, OracleParams(bound, pool))
+        found = isinstance(out, Witness) and oracle_is_synchronizing(aut, out.word)
+    if isinstance(out, Witness):
+        return found and len(out.word) == shortest
+    return shortest is None
+
+
+class Tally:
+    """Checks pruned outcomes against the reference, and counts the cases
+    where the reference decided ("same"), where only the pruned search
+    decided and the oracle agreed ("rescued"), and where both ran out."""
+
+    def __init__(self):
+        self.cases = dict.fromkeys(("same", "rescued", "exhausted"), 0)
+        self.pruned = 0
+
+    def check(self, aut, out, ref, bound, max_data=None, universality=False):
+        kind, word, explored, _ = ref
+        self.pruned += out.pruned
+        if kind != "BudgetExhausted":
+            assert (type(out).__name__, getattr(out, "choice_word", None)) == (kind, word)
+            assert out.explored <= explored
+            self.cases["same"] += 1
+        elif isinstance(out, BudgetExhausted):
+            self.cases["exhausted"] += 1
+        else:
+            assert oracle_agrees(aut, out, bound, max_data, universality)
+            self.cases["rescued"] += 1
 
 
 class TestMaskPost:
@@ -65,66 +144,109 @@ class TestMaskPost:
         assert not eng.mask_synchronized(0)
 
 
-@pytest.mark.parametrize("bfs", MODES, ids=MODE_IDS)
+class TestSubsumed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 2**12 - 1), max_size=12), st.integers(0, 2**12 - 1))
+    def test_bucket_index_finds_every_subset(self, kept, mask):
+        buckets = {}
+        for a in kept:
+            buckets.setdefault(a & -a, []).append(a)
+        assert _subsumed(buckets, mask) == any(a & ~mask == 0 for a in kept)
+
+
+@pytest.mark.parametrize("bfs", KEYWORD, ids=KEYWORD_IDS)
 class TestAgainstReferenceSearch:
     @pytest.mark.parametrize("bound", [2, 3])
     @pytest.mark.parametrize("max_nodes", [None, 0, 1, 9, 40])
     def test_fig4(self, fig4, bfs, bound, max_nodes):
-        assert (sync_outcome(fig4, bound, bfs, max_nodes=max_nodes)
-                == reference_outcome(fig4, bound, bfs, max_nodes=max_nodes))
+        Tally().check(fig4, sync_outcome(fig4, bound, bfs, max_nodes=max_nodes),
+                      reference_outcome(fig4, bound, max_nodes=max_nodes), bound)
 
     def test_counter(self, bfs):
-        aut = gen_counter_nra(1)
-        for bound, max_data in ((4, None), (4, 1), (3, 2)):
-            assert (sync_outcome(aut, bound, bfs, max_data)
-                    == reference_outcome(aut, bound, bfs, max_data))
+        tally = Tally()
+        for n, bound, max_data, max_nodes in ((1, 4, None, None), (1, 4, 1, None),
+                                              (1, 3, 2, None), (2, 5, None, None),
+                                              (2, 6, None, None), (2, 6, 2, 1000), (2, 6, 1, 100)):
+            aut = gen_counter_nra(n)
+            tally.check(aut, sync_outcome(aut, bound, bfs, max_data, max_nodes),
+                        reference_outcome(aut, bound, max_data, max_nodes), bound, max_data)
+        # counter(2) at length 6 on at most 2 data, or 1: the reference runs
+        # out, the pruned search finds the witness
+        assert tally.cases == {"same": 5, "rescued": 2, "exhausted": 0}
+        assert tally.pruned > 0
 
     def test_reduced_nonuniversality(self, bfs):
+        tally = Tally()
         for lang in acceptance_nras(11, 8):
             aut = reduce_nonuniv_to_sync(lang)
             for max_nodes in (None, 25):
-                assert (sync_outcome(aut, 3, bfs, max_nodes=max_nodes)
-                        == reference_outcome(aut, 3, bfs, max_nodes=max_nodes))
+                tally.check(aut, sync_outcome(aut, 3, bfs, max_nodes=max_nodes),
+                            reference_outcome(aut, 3, max_nodes=max_nodes), 3)
+        assert tally.cases["same"] > 0
 
     def test_universality(self, bfs):
+        tally = Tally()
         for lang in acceptance_nras(12, 16):
             for bound, max_nodes in ((3, None), (4, None), (4, 15)):
-                assert (univ_outcome(lang, bound, bfs, max_nodes)
-                        == reference_outcome(lang, bound, bfs, max_nodes=max_nodes,
-                                             universality=True))
+                tally.check(lang, univ_outcome(lang, bound, bfs, max_nodes),
+                            reference_outcome(lang, bound, max_nodes=max_nodes,
+                                              universality=True),
+                            bound, universality=True)
+        assert tally.cases["same"] > 0 and tally.pruned > 0
 
     def test_random_complete_nras(self, bfs):
         rng = random.Random(2024)
+        tally = Tally()
         outcomes = set()
-        for i in range(80):
-            k = i % 3
-            aut = random_complete_automaton(rng, rng.randint(1, 5), k, 2)
-            bound = rng.randint(1, 4 - k // 2)
+        for i in range(90):
+            k = i % 4
+            aut = random_complete_automaton(rng, rng.randint(1, 5 - k), k, 2)
+            bound = rng.randint(1, 4 - (k + 1) // 2)
             max_data = rng.choice([None, None, 1, 2])
             max_nodes = rng.choice([None, None, 0, 3, 30, 200])
-            got = sync_outcome(aut, bound, bfs, max_data, max_nodes)
-            assert got == reference_outcome(aut, bound, bfs, max_data, max_nodes)
-            outcomes.add(got[0])
+            out = sync_outcome(aut, bound, bfs, max_data, max_nodes)
+            tally.check(aut, out, reference_outcome(aut, bound, max_data, max_nodes),
+                        bound, max_data)
+            outcomes.add(type(out).__name__)
         assert outcomes == {"Witness", "NoneWithinBound", "BudgetExhausted"}
+        assert all(tally.cases.values()) and tally.pruned > 0
 
 
 class TestQueued:
-    @pytest.mark.parametrize("bfs", MODES, ids=MODE_IDS)
-    def test_queued_is_the_dedup_table_size(self, fig4, bfs):
+    @pytest.mark.parametrize("bfs", KEYWORD, ids=KEYWORD_IDS)
+    def test_queued_is_the_dedup_table_size(self, fig4, bfs, monkeypatch):
         for aut, bound in ((fig4, 2), (fig4, 3), (gen_counter_nra(1), 4)):
+            eng = engine_for(aut)
+            found = set()  # every (set, word data) node a step returned
+            post = eng.mask_post
+
+            def spy_post(mask, m, letter, choice):
+                out = post(mask, m, letter, choice)
+                found.add((out, m + (choice == FRESH)))
+                return out
+
+            monkeypatch.setattr(eng, "mask_post", spy_post)
             out = bounded_sync_search(aut, SearchBudget(bound), bfs=bfs)
-            assert out.queued == reference_outcome(aut, bound, bfs)[3] > 1
+            monkeypatch.undo()
+            root = (eng.mask_root(eng.abstract_initial().configs), 0)
+            assert out.queued == len(found | {root}) > 1
+            assert out.pruned < out.queued
+            if out.pruned == 0:
+                assert outcome_signature(out) == reference_outcome(aut, bound)
 
     def test_empty_word_queues_nothing(self):
         lang = next(a for a in acceptance_nras(5, 50) if a.acceptance.initial
                     not in a.acceptance.accepting)
         out = bounded_universality_witness(lang, 3)
-        assert out.choice_word == () and out.queued == 0
+        assert out.choice_word == () and out.queued == out.pruned == 0
 
 
 class TestCaps:
     def test_capped_memo_and_intern_table(self, monkeypatch):
-        aut = random_complete_automaton(random.Random(7), 4, 2, 2)
+        def make():
+            return random_complete_automaton(random.Random(7), 4, 2, 2)
+
+        aut = make()
         eng = engine_for(aut)
         runs = []  # per search: the cap, the intern table size at its root, then after each step
         cleared = []
@@ -144,14 +266,16 @@ class TestCaps:
             assert sum(map(len, eng.mask_memo.values())) == eng.mask_entries <= cap
             return out
 
+        bounds = [3, 4, 2, 3, 4, 2]
+        # each query on a fresh automaton, whose Engine never reaches the cap
+        expected = [outcome_signature(sync_outcome(make(), bound)) for bound in bounds]
         monkeypatch.setattr(eng, "mask_root", spy_root)
         monkeypatch.setattr(eng, "mask_post", spy_post)
-        queries = [(3, True), (3, False), (2, True), (3, True), (3, False), (2, False)]
         for cap in (1000, 12):
             monkeypatch.setattr(semantics, "SUCCESSOR_MEMO_CAP", cap)
-            for bound, bfs in queries:
-                assert sync_outcome(aut, bound, bfs) == reference_outcome(aut, bound, bfs)
-        assert len(runs) == 2 * len(queries) and any(cleared)
+            for bound, want in zip(bounds, expected):
+                assert outcome_signature(sync_outcome(aut, bound)) == want
+        assert len(runs) == 2 * len(bounds) and any(cleared)
         # never reset during a search: ids only accumulate
         assert all(run[1:] == sorted(run[1:]) for run in runs)
         roots = len(eng.abstract_initial().configs)

@@ -52,6 +52,10 @@ class TestBoundedSyncSearch:
         out = bounded_sync_search(full_update_loop(), SearchBudget(1))
         assert isinstance(out, Witness) and len(out.word) == 1
 
+    def test_negative_max_distinct_data_is_an_error(self, fig4):
+        with pytest.raises(ValueError, match="max_distinct_data must be >= 0"):
+            bounded_sync_search(fig4, SearchBudget(3, max_distinct_data=-1))
+
     def test_budget_exhaustion(self, fig4):
         out = bounded_sync_search(fig4, SearchBudget(3, max_nodes=5))
         assert isinstance(out, BudgetExhausted)
@@ -79,7 +83,7 @@ class TestBoundedSyncSearch:
             aut = random_complete_automaton(rng, rng.randint(1, 3), rng.randint(0, 1),
                                             rng.randint(1, 2), deterministic=True)
             word = synchronizing_word_dra(aut)
-            bounded = bounded_sync_search(aut, SearchBudget(8), bfs=True)
+            bounded = bounded_sync_search(aut, SearchBudget(8))
             if word is not None and len(word) <= 8:
                 assert isinstance(bounded, Witness)
             if word is None:
@@ -109,13 +113,18 @@ class TestUniversality:
              ("q0", "a", Eq(0), (), "q0"),
              ("q1", "a", TRUE, {0}, "q1")])
         comp = reduce_sync_to_nonuniv(tiny)
-        out = bounded_universality_witness(comp, 7, bfs=True)
+        out = bounded_universality_witness(comp, 7)
         assert isinstance(out, Witness)
         assert not accepts(comp, out.word)
 
     def test_needs_acceptance(self, fig4):
         with pytest.raises(ValueError):
             bounded_universality_witness(fig4, 2)
+
+    def test_negative_bound_is_an_error(self):
+        # the empty word's length 0 exceeds a bound of -1
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            bounded_universality_witness(first_two_equal_nra(), -1)
 
 
 class TestNonemptiness:
@@ -124,6 +133,12 @@ class TestNonemptiness:
                         [("q", "a", TRUE, {0}, "q")], acceptance=("q", ["q"]))
         out = nonemptiness_witness(aut, 0)
         assert isinstance(out, Witness) and out.word == ()
+
+    def test_negative_bound_is_an_error(self):
+        aut = automaton("eps", ["q"], 1, ["a"],
+                        [("q", "a", TRUE, {0}, "q")], acceptance=("q", ["q"]))
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            nonemptiness_witness(aut, -1)
 
     def test_unreachable_accepting(self):
         aut = automaton("dead", ["q0", "q1"], 1, ["a"],
@@ -162,6 +177,6 @@ class TestNonemptiness:
         for _ in range(25):
             aut = random_complete_automaton(rng, rng.randint(1, 3), rng.randint(0, 1),
                                             rng.randint(1, 2), acceptance=True)
-            out = bounded_universality_witness(aut, 3, bfs=True)
+            out = bounded_universality_witness(aut, 3)
             if isinstance(out, Witness):
                 assert not accepts(aut, out.word)

@@ -24,7 +24,7 @@ from regsync.semantics import (
     sym,
     word_data,
 )
-from helpers import all_choice_words, random_complete_automaton
+from helpers import all_choice_words, random_complete_automaton, reference_abstract_successors
 
 
 class TestChoiceWords:
@@ -252,6 +252,26 @@ def random_engine_and_word(data, max_len=3):
 
 def memo_size(eng):
     return sum(len(configs) for configs in eng.successor_memo.values())
+
+
+class TestAbstractSuccessors:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_agrees_with_reference(self, data):
+        # a random canonical configuration over m word data, on every input
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        k = data.draw(st.integers(0, 3))
+        aut = random_complete_automaton(rng, rng.randint(1, 3), k, rng.randint(1, 2))
+        eng = Engine(aut)
+        m = data.draw(st.integers(0, 3))
+        value = st.integers(-k, m - 1) if k else st.nothing()  # blocks and word data
+        raw = data.draw(st.lists(value, min_size=k, max_size=k))
+        config = (rng.randrange(eng.n_locations), semantics._canon_values(raw))
+        for letter in range(eng.n_letters):
+            for inp, fresh in [(m, True), *((i, False) for i in range(m))]:
+                got = eng._abstract_successors(config, letter, inp, fresh)
+                want = reference_abstract_successors(eng, config, letter, inp, fresh)
+                assert sorted(got) == sorted(want)
 
 
 class TestSuccessorMemo:
