@@ -9,9 +9,12 @@ other, each checkout in its own subprocess with its own `src/` and
 `perfbench/`.  A verdict is compared by its decided flag, its result (the
 word, or the outcome type with its witness, or the exception type with
 `explored` and `phase`) and `dra1`.  The search statistics of an outcome
-(`explored`, `queued`, `pruned`) count work, not answers, so they are not
-compared: a change to a search's pruning moves them by design.  Prints the number of differing verdicts and
-the seconds per query kind in each checkout, and exits 1 on any difference.
+(`explored`, `queued`, `pruned`) count work, not answers, so by default they
+are not compared: a change to a search's pruning moves them by design.
+`--same-stats explored,pruned` compares the listed statistics too, for a
+change that claims not to move them.  Prints the number of differing
+verdicts and the seconds per query kind in each checkout, and exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -31,18 +34,29 @@ HERE = Path(__file__).resolve().parent.parent
 STATISTICS = ("explored", "queued", "pruned")
 
 
-def _result(result):
+def _result(result, same_stats=()):
+    """The compared part of a verdict's result: every outcome field except
+    the statistics not named in `same_stats`."""
     if isinstance(result, BaseException):
         return (type(result).__name__, getattr(result, "explored", None),
                 getattr(result, "phase", None))
     if dataclasses.is_dataclass(result):
         return (type(result).__name__,) + tuple(
             (f.name, getattr(result, f.name)) for f in dataclasses.fields(result)
-            if f.name not in STATISTICS)
+            if f.name not in STATISTICS or f.name in same_stats)
     return result
 
 
-def _worker(checkout: Path, workload: str, seed: int, limit) -> None:
+def _statistics(text: str) -> tuple:
+    names = tuple(name for name in text.split(",") if name)
+    unknown = [name for name in names if name not in STATISTICS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown statistic {unknown[0]!r} (choose from {', '.join(STATISTICS)})")
+    return names
+
+
+def _worker(checkout: Path, workload: str, seed: int, limit, same_stats) -> None:
     """Run the queries in `checkout` and write one JSON line per query:
     [index, kind, sha256 of its text, seconds, verdict signature]."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
@@ -54,7 +68,7 @@ def _worker(checkout: Path, workload: str, seed: int, limit) -> None:
         start = time.perf_counter()
         try:
             verdict = client.execute(query)
-            signature = (verdict.decided, _result(verdict.result), verdict.dra1)
+            signature = (verdict.decided, _result(verdict.result, same_stats), verdict.dra1)
         except Exception as err:  # a crash is a verdict too
             signature = ("error", type(err).__name__, str(err))
         seconds = time.perf_counter() - start
@@ -67,6 +81,8 @@ def _run(checkout: Path, args) -> list:
             "--workload", args.workload, "--seed", str(args.seed)]
     if args.limit is not None:
         argv += ["--limit", str(args.limit)]
+    if args.same_stats:
+        argv += ["--same-stats", ",".join(args.same_stats)]
     done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
     return [json.loads(line) for line in done.stdout.splitlines()]
 
@@ -78,11 +94,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--limit", type=int, default=None,
                         help="compare only the first N queries")
+    parser.add_argument("--same-stats", type=_statistics, default=(), metavar="NAMES",
+                        help="comma-separated outcome statistics to compare too "
+                             f"({', '.join(STATISTICS)})")
     # Run the queries in the checkout `other` and print their verdicts.
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        _worker(Path(args.other), args.workload, args.seed, args.limit)
+        _worker(Path(args.other), args.workload, args.seed, args.limit, args.same_stats)
         return 0
     other = Path(args.other).resolve()
     if not (other / "perfbench" / "client.py").is_file():

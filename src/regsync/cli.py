@@ -5,8 +5,10 @@ budget exhausted, 3 usage or parse error.  Reports print as text or, with
 --format json, as {command, outcome, witness?, stats{explored, queued,
 pruned, depth, seconds}}, where queued counts the sets (for emptiness, the
 states) a search added to its dedup table and pruned the sets it dropped by
-subsumption; an inconclusive sync-dra adds stats.phase, the search that ran
-out ("shrink" or "merge").
+subsumption.  A bounded sync or universality search stores the root, the
+sets found above its last layer and a witness found on it, but not the
+last layer's other sets.  An inconclusive sync-dra adds stats.phase, the
+search that ran out ("shrink" or "merge").
 REGSYNC_MAX_NODES sets the default node budget.
 """
 

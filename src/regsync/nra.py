@@ -10,7 +10,10 @@ an int bitmask over the configurations the Engine interns, and test their
 goals on masks.  The search drops a set when it already kept a subset of it
 with the same word data count: the abstract post is monotone and both goals
 are closed under nonempty subsets, so the pruning is exact, and every
-witness is the lexicographically least shortest one.
+witness is the lexicographically least shortest one.  The same premise lets
+a step on the last layer, which is never expanded, stop as soon as its
+partial successor is nonempty and fails the goal; such a set is dropped
+unstored.
 
 The general synchronization problem for NRAs is undecidable, so only
 bounded-exact and budget-limited modes exist here.
@@ -50,7 +53,9 @@ class SearchBudget:
 
 # Search statistics: `explored` moves expanded, `queued` sets (for
 # non-emptiness, states) added to the dedup table, `pruned` sets dropped
-# by subsumption.
+# by subsumption.  A bounded sync or universality search stores the root,
+# the sets it finds above the last layer, and a witness found on the last
+# layer; it does not store the last layer's other sets.
 
 
 @dataclass(frozen=True)

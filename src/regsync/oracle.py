@@ -34,8 +34,10 @@ class OracleParams:
     concrete_enumeration: bool = False
 
     def __post_init__(self):
-        if self.max_nodes < 0:
-            raise ValueError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        for name in ("max_length", "data_pool_size", "initial_extra_data", "max_nodes"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)

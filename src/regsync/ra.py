@@ -223,6 +223,8 @@ def validate(aut: RegisterAutomaton) -> list:
     n_sym = len(aut.alphabet)
     if aut.registers < 0:
         diags.append(Diagnostic("register-count", f"negative register count {aut.registers}"))
+    if not n_loc:
+        diags.append(Diagnostic("no-locations", "automaton has no locations"))
     for kind, names in (("location", aut.locations), ("letter", aut.alphabet)):
         seen = set()
         for name in names:

@@ -25,8 +25,9 @@ than SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.
 
 `_search_bfs`, the one breadth-first search over abstract sets, prunes mask
 sets by subsumption for the NRA searches (the antichain idea of De Wulf,
-Doyen, Henzinger and Raskin, CAV 2006); the DRA shrink's tuple sets are not
-pruned.
+Doyen, Henzinger and Raskin, CAV 2006), and on their last layer, which is
+never expanded, lets `mask_post` stop once its partial successor fails the
+goal; the DRA shrink's tuple sets are not pruned.
 """
 
 from __future__ import annotations
@@ -334,8 +335,14 @@ class Engine:
         """is_synchronized on a mask: exactly one id, and a clean one."""
         return mask != 0 and mask & (mask - 1) == 0 and not mask & self.dirty_mask
 
-    def mask_post(self, mask: int, m: int, letter: int, choice: int) -> int:
-        """abstract_post on the set `mask` of interned ids holding m word data."""
+    def mask_post(self, mask: int, m: int, letter: int, choice: int,
+                  goal: Optional[Callable] = None) -> int:
+        """abstract_post on the set `mask` of interned ids holding m word data.
+
+        With a `goal` closed under nonempty subsets, the union stops once it
+        is nonempty and fails `goal`, and that partial set is returned: the
+        full successor fails `goal` too.  A successor that meets `goal` is
+        never cut short."""
         fresh = choice == FRESH
         inp = m if fresh else choice
         step = (letter, inp, fresh)
@@ -353,6 +360,8 @@ class Engine:
                     self._abstract_successors(self.config_of[i], letter, inp, fresh))
                 self.mask_entries += 1
             out |= succ
+            if goal is not None and out and not goal(out):
+                break
         if self.mask_entries > SUCCESSOR_MEMO_CAP:
             self.mask_memo.clear()
             self.mask_entries = 0
@@ -451,8 +460,9 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
     `step(s, m, letter, choice)` is the successor of set `s` holding m word
     data, in any hashable representation of sets.  Moves are expanded in
     (letter, choice) order, first in first out, and each (set, word data)
-    node enters the dedup table once; every expanded move ticks `budget`,
-    and the search raises _Exhausted once the budget is spent.
+    node enters the dedup table once (counted in `budget.queued`); every
+    expanded move ticks `budget`, and the search raises _Exhausted once the
+    budget is spent.
 
     With `prune`, sets are int bitmasks, and a new node that fails `goal`
     is dropped (counted in `budget.pruned`) when the search already kept a
@@ -461,8 +471,10 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
     closed under nonempty subsets: the kept node was found no later in
     breadth-first order, so every path from the dropped one has a path
     from the kept one that is no longer and no greater.  Nodes at depth
-    `max_length` are never expanded, so they are neither put on the queue
-    nor kept.
+    `max_length` are never expanded, so with `prune` the last layer's
+    moves call `step(s, m, letter, choice, goal)`, which may stop at a
+    nonempty partial set that fails `goal`; such a node is dropped
+    without entering the dedup table, and only a witness enters it.
     """
     start = (root, data)
     parents = {start: None}
@@ -474,11 +486,17 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
     while queue:
         node, depth = queue.popleft()
         last = max_length is not None and depth + 1 >= max_length
+        directed = prune and last
         s, m = node
         for letter, choice in _moves(n_letters, m, max_data):
             if not budget.tick():
                 raise _Exhausted
-            nxt = step(s, m, letter, choice)
+            if directed:
+                nxt = step(s, m, letter, choice, goal)
+                if not goal(nxt):
+                    continue  # a last-layer set that is no witness is not stored
+            else:
+                nxt = step(s, m, letter, choice)
             key = (nxt, m + 1 if choice == FRESH else m)
             if key in parents:
                 continue

@@ -181,8 +181,9 @@ def concrete_merge(eng, q1, q2, pool):
 
 # ---------------------------------------------------------------------------
 # Reference bounded NRA search: breadth-first over tuple sets with no
-# pruning, as it was before the searches moved to interned bitmasks and
-# subsumption pruning.  It appends its dedup table to `tables`.
+# pruning, as it was before the searches moved to interned bitmasks,
+# subsumption pruning and the goal-directed last layer.  It appends its
+# dedup table, each set mapped to the depth it was found at, to `tables`.
 
 
 def _ref_moves(eng, aset, max_data):
@@ -194,7 +195,8 @@ def _ref_moves(eng, aset, max_data):
 
 def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
     parents = {root: None}
-    tables.append(parents)
+    depth_of = {root: 0}
+    tables.append(depth_of)
     queue = deque([(root, 0)])
     while queue:
         aset, depth = queue.popleft()
@@ -207,6 +209,7 @@ def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
             if nxt in parents:
                 continue
             parents[nxt] = (aset, (letter, choice))
+            depth_of[nxt] = depth + 1
             if goal(nxt):
                 return bfs_path(parents, nxt)[1]
             queue.append((nxt, depth + 1))
@@ -216,7 +219,9 @@ def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
 def reference_outcome(aut, bound, max_data=None, max_nodes=None, universality=False):
     """(kind, choice word, explored, queued) of bounded_sync_search, or of
     bounded_universality_witness when `universality`, by the reference
-    search; queued is the size of its dedup table."""
+    search.  queued counts the sets of its dedup table that the bounded
+    searches store: the root, every set found above the last layer
+    (depth < bound), and a witness found on the last layer."""
     eng = engine_for(aut)
     if universality:
         acc = aut.acceptance
@@ -232,13 +237,18 @@ def reference_outcome(aut, bound, max_data=None, max_nodes=None, universality=Fa
         root, goal = eng.abstract_initial(), is_synchronized
     budget = _Budget(max_nodes)
     tables = []
+
+    def queued(witnesses=0):
+        return witnesses + sum(depth < bound for depth_of in tables
+                               for depth in depth_of.values())
+
     try:
         path = reference_search_bfs(eng, root, goal, bound, max_data, budget, tables)
     except _Exhausted:
-        return ("BudgetExhausted", None, budget.spent, sum(map(len, tables)))
+        return ("BudgetExhausted", None, budget.spent, queued())
     if path is None:
-        return ("NoneWithinBound", None, budget.spent, sum(map(len, tables)))
-    return ("Witness", tuple(path), budget.spent, sum(map(len, tables)))
+        return ("NoneWithinBound", None, budget.spent, queued())
+    return ("Witness", tuple(path), budget.spent, queued(len(path) == bound))
 
 
 def reference_abstract_successors(eng, config, letter, inp, fresh):

@@ -51,6 +51,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 3  # caught at parse time with a position
 
+    def test_no_locations(self, capsys, tmp_path):
+        path = tmp_path / "empty.ra"
+        path.write_text("automaton e\nregisters 1\nalphabet a\n")
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1 and "no-locations: automaton has no locations" in out
+        for argv in (("sync-dra",), ("sync-bounded", "--max-len", "3")):
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 3 and out == ""
+            assert err.splitlines() == ["error: automaton has no locations"]
+
     @pytest.mark.parametrize("guard", [
         "!" * 3000 + "=r0",
         "(" * 3000 + "=r0" + ")" * 3000,
@@ -327,7 +337,10 @@ class TestOtherCommands:
         (("emptiness", "univ", "--bound", "-1"), "bound must be >= 0"),
         (("sync-bounded", "fig4", "--max-len", "3", "--max-data", "-1"),
          "max_distinct_data must be >= 0"),
-    ], ids=["universality", "emptiness", "sync-bounded-max-data"])
+        (("oracle", "fig4", "--max-len", "-1"), "max_length must be >= 0"),
+        (("oracle", "fig4", "--max-len", "3", "--pool", "-1"), "data_pool_size must be >= 0"),
+    ], ids=["universality", "emptiness", "sync-bounded-max-data", "oracle-max-len",
+            "oracle-pool"])
     def test_negative_bound_is_a_usage_error(self, capsys, fig4_file, univ_file, argv,
                                              message):
         files = {"fig4": fig4_file, "univ": univ_file}

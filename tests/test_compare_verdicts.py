@@ -7,9 +7,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_verdicts.py"
 
 
-def compare(other, limit=4):
+def compare(other, limit=4, *extra):
     return subprocess.run([sys.executable, str(SCRIPT), str(other), "--workload", "decide",
-                           "--seed", "1", "--limit", str(limit)],
+                           "--seed", "1", "--limit", str(limit), *extra],
                           capture_output=True, text=True, timeout=300)
 
 
@@ -38,16 +38,40 @@ def test_a_differing_verdict_fails(tmp_path):
     assert "2 differing verdict(s)" in done.stdout
 
 
+def stats_patched_checkout(tmp_path, **changes):
+    """A patched checkout whose bounded NRA outcomes have `changes` added to
+    their statistics."""
+    return patched_checkout(tmp_path, "\nimport dataclasses\n\n_execute = execute\n\n\n"
+                            "def execute(query):\n"
+                            "    verdict = _execute(query)\n"
+                            "    result = verdict.result\n"
+                            "    if query.kind in ('sync-bounded', 'universality'):\n"
+                            "        result = dataclasses.replace(result, **{\n"
+                            "            name: getattr(result, name) + delta\n"
+                            f"            for name, delta in {changes!r}.items()}})\n"
+                            "    return Verdict(verdict.decided, result, verdict.dra1)\n")
+
+
 def test_search_statistics_are_not_compared(tmp_path):
     # the first query is a bounded NRA search; its statistics count work
-    patched_checkout(tmp_path, "\nimport dataclasses\n\n_execute = execute\n\n\n"
-                     "def execute(query):\n"
-                     "    verdict = _execute(query)\n"
-                     "    result = verdict.result\n"
-                     "    if query.kind in ('sync-bounded', 'universality'):\n"
-                     "        result = dataclasses.replace(result, explored=result.explored + 1,\n"
-                     "                                     queued=0, pruned=result.pruned + 1)\n"
-                     "    return Verdict(verdict.decided, result, verdict.dra1)\n")
-    done = compare(tmp_path, limit=1)
+    stats_patched_checkout(tmp_path, explored=1, queued=-1, pruned=1)
+    done = compare(tmp_path, 1)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "decide seed 1: 1 queries, 0 differing verdict(s)" in done.stdout
+
+
+def test_same_stats_compares_the_listed_statistics(tmp_path):
+    stats_patched_checkout(tmp_path, queued=-1)
+    done = compare(tmp_path, 1, "--same-stats", "explored,pruned")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "decide seed 1: 1 queries, 0 differing verdict(s)" in done.stdout
+    done = compare(tmp_path, 1, "--same-stats", "queued")
+    assert done.returncode == 1, done.stderr
+    assert "decide seed 1: 1 queries, 1 differing verdict(s)" in done.stdout
+    assert "('queued'," in done.stdout
+
+
+def test_same_stats_rejects_an_unknown_statistic():
+    done = compare(ROOT, 1, "--same-stats", "explored,nodes")
+    assert done.returncode == 2
+    assert "unknown statistic 'nodes'" in done.stderr

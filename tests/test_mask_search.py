@@ -5,6 +5,7 @@ reference decides within its node budget, the pruned search gives the same
 outcome and witness and explores no more nodes; when the reference runs
 out, the pruned search may decide, and the oracle then agrees."""
 
+import dataclasses
 import itertools
 import random
 
@@ -215,14 +216,21 @@ class TestAgainstReferenceSearch:
 class TestQueued:
     @pytest.mark.parametrize("bfs", KEYWORD, ids=KEYWORD_IDS)
     def test_queued_is_the_dedup_table_size(self, fig4, bfs, monkeypatch):
+        # The dedup table holds the root, every node found above the last
+        # layer, and a witness found on the last layer, whose steps are the
+        # goal-directed ones.
         for aut, bound in ((fig4, 2), (fig4, 3), (gen_counter_nra(1), 4)):
             eng = engine_for(aut)
-            found = set()  # every (set, word data) node a step returned
+            found = set()  # every (set, word data) node the table may hold
+            directed = []  # the results of goal-directed steps
             post = eng.mask_post
 
-            def spy_post(mask, m, letter, choice):
-                out = post(mask, m, letter, choice)
-                found.add((out, m + (choice == FRESH)))
+            def spy_post(mask, m, letter, choice, goal=None):
+                out = post(mask, m, letter, choice, goal)
+                if goal is not None:
+                    directed.append(out)
+                if goal is None or goal(out):
+                    found.add((out, m + (choice == FRESH)))
                 return out
 
             monkeypatch.setattr(eng, "mask_post", spy_post)
@@ -231,6 +239,7 @@ class TestQueued:
             root = (eng.mask_root(eng.abstract_initial().configs), 0)
             assert out.queued == len(found | {root}) > 1
             assert out.pruned < out.queued
+            assert directed and not any(map(eng.mask_synchronized, directed[:-1]))
             if out.pruned == 0:
                 assert outcome_signature(out) == reference_outcome(aut, bound)
 
@@ -239,6 +248,130 @@ class TestQueued:
                     not in a.acceptance.accepting)
         out = bounded_universality_witness(lang, 3)
         assert out.choice_word == () and out.queued == out.pruned == 0
+
+
+def rejecting_goal(eng, aut):
+    """The universality goal on masks: no id at an accepting location."""
+    accepting = aut.acceptance.accepting
+
+    def rejected(mask):
+        return not any(mask & eng.location_masks[loc] for loc in accepting)
+
+    return rejected
+
+
+def thinned(rng, aut):
+    """`aut` without some of its transitions, so that successor sets can be
+    empty: an empty set is a universality witness."""
+    kept = tuple(t for t in aut.transitions if rng.random() < 0.7)
+    return dataclasses.replace(aut, transitions=kept)
+
+
+class TestGoalDirectedStep:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans())
+    def test_partial_step_fails_the_goal_exactly_when_the_full_step_does(
+            self, seed, length, thin):
+        rng = random.Random(seed)
+        aut = random_complete_automaton(rng, rng.randint(1, 4), rng.randint(0, 2),
+                                        rng.randint(1, 2), acceptance=True)
+        if thin:
+            aut = thinned(rng, aut)
+        eng = Engine(aut)
+        goals = (eng.mask_synchronized, rejecting_goal(eng, aut))
+        mask, m = eng.mask_root(eng.abstract_initial().configs), 0
+        for _ in range(length + 1):
+            sub = mask & rng.getrandbits(mask.bit_length())
+            for s in (mask, sub, 0):  # 0: the empty set
+                for letter in range(eng.n_letters):
+                    for choice in [*range(m), FRESH]:
+                        full = eng.mask_post(s, m, letter, choice)
+                        for goal in goals:
+                            part = eng.mask_post(s, m, letter, choice, goal)
+                            assert part & ~full == 0
+                            assert goal(part) == goal(full)
+                            if goal(full):
+                                assert part == full
+            letter, choice = rng.randrange(eng.n_letters), rng.choice([*range(m), FRESH])
+            mask = eng.mask_post(mask, m, letter, choice) or mask
+            m += choice == FRESH
+
+    def test_empty_successor_is_a_universality_witness(self):
+        # a cell with no transition: reading it leaves no run, so the word
+        # is rejected, and the goal-directed last step must not cut it short
+        rng = random.Random(3)
+        hits = 0
+        for lang in acceptance_nras(21, 30):
+            aut = thinned(rng, lang)
+            out = bounded_universality_witness(aut, 2)
+            if isinstance(out, Witness) and out.choice_word:
+                eng = engine_for(aut)
+                mask = eng.mask_root(
+                    c for c in eng.abstract_initial().configs if c[0] == aut.acceptance.initial)
+                m = 0
+                for letter, choice in out.choice_word:
+                    mask = eng.mask_post(mask, m, letter, choice)
+                    m += choice == FRESH
+                hits += mask == 0
+            Tally().check(aut, out, reference_outcome(aut, 2, universality=True), 2,
+                          universality=True)
+        assert hits > 0
+
+
+def ignoring_goal(aut):
+    """A fresh copy of `aut` whose Engine's step computes every successor
+    in full, whatever goal it is given."""
+    aut = dataclasses.replace(aut)
+    eng = engine_for(aut)
+    post = eng.mask_post
+    eng.mask_post = lambda mask, m, letter, choice, goal=None: post(mask, m, letter, choice)
+    return aut
+
+
+class TestGoalDirectedSearch:
+    """The goal-directed last layer changes no outcome: type, witness and
+    every statistic match a search whose step ignores the goal."""
+
+    @staticmethod
+    def same(outcome, aut):
+        # outcomes are dataclasses: == compares the witness and every statistic
+        directed = outcome(dataclasses.replace(aut))
+        assert directed == outcome(ignoring_goal(aut))
+        return type(directed).__name__
+
+    def test_random_complete_nras(self):
+        rng = random.Random(909)
+        kinds = set()
+        for i in range(80):
+            k = i % 3
+            aut = random_complete_automaton(rng, rng.randint(1, 4), k, rng.randint(1, 2))
+            bound = rng.randint(1, 4 - k)
+            budget = SearchBudget(bound, rng.choice([None, None, 1, 2]),
+                                  rng.choice([None, None, 0, 2, 10, 60]))
+            kinds.add(self.same(lambda a: bounded_sync_search(a, budget), aut))
+        assert kinds == {"Witness", "NoneWithinBound", "BudgetExhausted"}
+
+    def test_reduced_nonuniversality(self):
+        rng = random.Random(910)
+        kinds = set()
+        for lang in acceptance_nras(13, 10):
+            aut = reduce_nonuniv_to_sync(lang)
+            bound = rng.randint(1, 4)
+            budget = SearchBudget(bound, rng.choice([None, 2]), rng.choice([None, 5, 40]))
+            kinds.add(self.same(lambda a: bounded_sync_search(a, budget), aut))
+        assert "Witness" in kinds and len(kinds) > 1
+
+    def test_universality(self):
+        rng = random.Random(911)
+        kinds = set()
+        for lang in acceptance_nras(14, 24):
+            if rng.random() < 0.5:
+                lang = thinned(rng, lang)
+            bound = rng.randint(1, 4)
+            max_nodes = rng.choice([None, None, 0, 3, 30])
+            kinds.add(self.same(lambda a: bounded_universality_witness(a, bound, max_nodes),
+                                lang))
+        assert kinds == {"Witness", "NoneWithinBound", "BudgetExhausted"}
 
 
 class TestCaps:

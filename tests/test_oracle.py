@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from regsync.gadgets import gen_chain_dra, gen_tower_nra
 from regsync.oracle import (
     OracleParams,
@@ -93,3 +95,19 @@ class TestMinima:
         result = oracle_search(fig4, OracleParams(3, 3))
         assert result.found_length == 3
         assert oracle_is_synchronizing(fig4, result.witness)
+
+
+class TestParams:
+    @pytest.mark.parametrize("field, args", [
+        ("max_length", (-1, 2)),
+        ("data_pool_size", (2, -1)),
+        ("initial_extra_data", (2, 2, -1)),
+        ("max_nodes", (2, 2, None, -1)),
+    ])
+    def test_negative_bound_is_a_value_error(self, field, args):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+            OracleParams(*args)
+
+    def test_zero_bounds_are_allowed(self):
+        params = OracleParams(0, 0, 0, 0)
+        assert oracle_min_length(full_update_singleton(), params) is None

@@ -149,6 +149,20 @@ class TestValidate:
         diags = validate(aut)
         assert [d.code for d in diags] == ["initial-update-rule"]
 
+    def test_no_locations(self):
+        from regsync.dra import synchronizing_word_dra
+        from regsync.nra import SearchBudget, bounded_sync_search
+        from regsync.semantics import engine_for
+
+        aut = RegisterAutomaton("empty", (), 1, ("a",), ())
+        assert [d.code for d in validate(aut)] == ["no-locations"]
+        with pytest.raises(StructuralError, match="no locations"):
+            engine_for(aut)
+        with pytest.raises(StructuralError, match="no locations"):
+            synchronizing_word_dra(aut)
+        with pytest.raises(StructuralError, match="no locations"):
+            bounded_sync_search(aut, SearchBudget(3))
+
     def test_dangling_ids(self):
         aut = RegisterAutomaton("bad", ("q",), 1, ("a",),
                                 (mk_transition(0, 5, TRUE, (), 9),))
