@@ -262,12 +262,11 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
     InconclusiveError naming its phase.  The result is re-checked
     against the abstract semantics before return.
     """
-    _require_dra(aut)
-    eng = engine_for(aut)
-    k = aut.registers
-    shrink = shrink_word(aut, max_nodes)
+    shrink = shrink_word(aut, max_nodes)  # checks that `aut` is a DRA
     if isinstance(shrink, NotShrinkable):
         return None
+    eng = engine_for(aut)
+    k = aut.registers
     pool = list(range(2 * k + 1))
     word = list(shrink.word)
     configs = sorted(shrink.residual)
@@ -281,7 +280,6 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
         if not aut.alphabet:
             return None
         word.append((0, 0))
-        configs = sorted(eng.post_set(configs, word))
     if not is_synchronized(eng.abstract_run(choice_of_word(word))):
         raise RuntimeError("internal error: constructed word failed abstract verification")
     return tuple(word)

@@ -466,14 +466,21 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
     except json.JSONDecodeError as err:
         raise error(f"bad JSON: {err.msg}", err.lineno, err.colno)
     try:
+        alphabet = payload["alphabet"]
+        if not isinstance(alphabet, list):
+            raise error(f"alphabet must be a list of letter names, not {alphabet!r}")
         locations = [entry["name"] for entry in payload["locations"]]
         for what, names in (("automaton", [payload["automaton"]]), ("location", locations),
-                            ("letter", payload["alphabet"])):
+                            ("letter", alphabet)):
+            known = set()
             for name in names:
                 if not isinstance(name, str):
                     raise error(f"{what} name must be a string, not {name!r}")
+                if name in known:
+                    raise error(f"duplicate {what} name {name!r}")
+                known.add(name)
         loc_ids = {name: i for i, name in enumerate(locations)}
-        letter_ids = {name: i for i, name in enumerate(payload["alphabet"])}
+        letter_ids = {name: i for i, name in enumerate(alphabet)}
         k = payload["registers"]
         if type(k) is not int or k < 0:
             raise error(f"registers must be a non-negative integer, not {k!r}")
@@ -496,6 +503,11 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
             transitions.append(mk_transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
                 guard, update, loc_ids[entry["target"]]))
+        for entry in payload["locations"]:
+            for flag in ("initial", "accepting"):
+                if type(entry.get(flag, False)) is not bool:
+                    raise error(f"location flag {flag} must be true or false, "
+                                f"not {entry[flag]!r}")
         initial = [i for i, entry in enumerate(payload["locations"]) if entry.get("initial")]
         accepting = [i for i, entry in enumerate(payload["locations"]) if entry.get("accepting")]
         acceptance = None
@@ -507,7 +519,7 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
             name=payload["automaton"],
             locations=tuple(locations),
             registers=k,
-            alphabet=tuple(payload["alphabet"]),
+            alphabet=tuple(alphabet),
             transitions=tuple(transitions),
             acceptance=acceptance,
         )

@@ -165,7 +165,14 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
 
     Single-run reachability: a run's future depends only on its location and
     the equality pattern of its registers, so states are (location, pattern)
-    pairs and the search saturates on at most |L| * Bell(k) states.
+    pairs and the search saturates on at most |L| * Bell(k) states.  Each
+    state keeps the concrete run that first reached it: its valuation, its
+    next fresh datum and its depth.  The roots instantiate their patterns
+    with small naturals (the initial valuation is existential), and a move
+    inputs each distinct register datum, then the fresh one.  Successors
+    are tested by equality only, so the concrete run lists them in the
+    pattern's order, and the witness is the word of the run that found the
+    accepting state.
     """
     if aut.acceptance is None:
         raise ValueError("nonemptiness_witness needs acceptance structure")
@@ -173,46 +180,39 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
         raise ValueError(f"bound must be >= 0, got {bound}")
     eng = engine_for(aut)
     acc = aut.acceptance
-    k = aut.registers
     tick = _Budget(max_nodes)
 
-    roots = [(acc.initial, rgs) for rgs in _partitions(k)]  # pairwise distinct
+    roots = [(acc.initial, rgs) for rgs in _partitions(aut.registers)]  # pairwise distinct
     parents = dict.fromkeys(roots)
+    runs = {root: (root[1], len(set(root[1])), 0) for root in roots}
+
+    def witness(state):
+        word = tuple(bfs_path(parents, state)[1])
+        return Witness(choice_of_word(word), word, tick.spent, len(parents))
+
+    if acc.initial in acc.accepting:
+        return witness(roots[0])
     queue = deque(roots)
-    hit = roots[0] if acc.initial in acc.accepting else None
-    depth_of = dict.fromkeys(roots, 0)
-    while queue and hit is None:
+    while queue:
         state = queue.popleft()
-        loc, pattern = state
-        depth = depth_of[state]
+        valuation, fresh, depth = runs[state]
         if depth >= bound:
             continue
-        inputs = [("eq", c) for c in sorted(set(pattern))] + [("fresh", k)]
+        inputs = list(dict.fromkeys(valuation)) + [fresh]  # in pattern-code order
         for letter in range(eng.n_letters):
-            for kind, value in inputs:
+            for datum in inputs:
                 if not tick.tick():
                     return BudgetExhausted(tick.spent, len(parents))
-                datum = value if kind == "eq" else k  # k differs from all pattern codes
-                for tgt, nv in eng.post_config((loc, pattern), letter, datum):
+                for tgt, nv in eng.post_config((state[0], valuation), letter, datum):
                     nxt = (tgt, _pattern_of(nv))
                     if nxt in parents:
                         continue
-                    parents[nxt] = (state, ((letter, kind, value), nxt))
-                    depth_of[nxt] = depth + 1
+                    parents[nxt] = (state, (letter, datum))
                     if tgt in acc.accepting:
-                        hit = nxt
-                        break
+                        return witness(nxt)
+                    runs[nxt] = (nv, fresh + (datum == fresh), depth + 1)
                     queue.append(nxt)
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-    if hit is None:
-        return NoneWithinBound(tick.spent, len(parents))
-
-    root, trail = bfs_path(parents, hit)
-    word = _replay_run(eng, root, trail)
-    return Witness(choice_of_word(word), word, tick.spent, len(parents))
+    return NoneWithinBound(tick.spent, len(parents))
 
 
 def _pattern_of(values) -> tuple:
@@ -223,35 +223,3 @@ def _pattern_of(values) -> tuple:
             mapping[v] = len(mapping)
         out.append(mapping[v])
     return tuple(out)
-
-
-def _replay_run(eng: Engine, root, trail) -> tuple:
-    """Rebuild a concrete accepted word along a (location, pattern) path.
-
-    The initial valuation instantiates the root pattern with small naturals
-    (it is existentially quantified); each 'eq' step inputs the value of a
-    register carrying the recorded pattern code, each 'fresh' step a new
-    natural.  Among the nondeterministic successors, any one matching the
-    recorded next (location, pattern) state keeps the path valid.
-    """
-    loc, pattern = root
-    valuation = pattern
-    fresh = len(set(pattern))
-    word = []
-    for (letter, kind, value), (next_loc, next_pattern) in trail:
-        if kind == "eq":
-            datum = valuation[pattern.index(value)]
-        else:
-            datum = fresh
-            fresh += 1
-        word.append((letter, datum))
-        chosen = None
-        for tgt, nv in eng.post_config((loc, valuation), letter, datum):
-            if tgt == next_loc and _pattern_of(nv) == next_pattern:
-                chosen = (tgt, nv)
-                break
-        if chosen is None:
-            raise RuntimeError("internal error: nonemptiness replay diverged")
-        loc, valuation = chosen
-        pattern = _pattern_of(valuation)
-    return tuple(word)

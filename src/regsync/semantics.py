@@ -45,12 +45,6 @@ FRESH = -1
 SUCCESSOR_MEMO_CAP = 100_000
 
 
-def seen(i: int) -> int:
-    if i < 0:
-        raise ValueError("Seen index must be >= 0")
-    return i
-
-
 def sym(block: int) -> int:
     return -1 - block
 

@@ -131,6 +131,9 @@ class TestJsonMirror:
                 payload["transitions"][0][key] = payload.pop(key)
         if "location" in overrides:
             payload["locations"][0]["name"] = payload.pop("location")
+        for key in ("initial", "accepting"):
+            if key in overrides:
+                payload["locations"][0][key] = payload.pop(key)
         path = tmp_path / "aut.json"
         path.write_text(json.dumps(payload))
         return str(path)
@@ -153,9 +156,16 @@ class TestJsonMirror:
         ({"automaton": ["x"]}, "automaton name must be a string, not ['x']"),
         ({"location": 7}, "location name must be a string, not 7"),
         ({"alphabet": [None]}, "letter name must be a string, not None"),
+        ({"alphabet": "ab"}, "alphabet must be a list of letter names, not 'ab'"),
+        ({"alphabet": {"a": 1}}, "alphabet must be a list of letter names, not {'a': 1}"),
+        ({"location": "l1"}, "duplicate location name 'l1'"),
+        ({"alphabet": ["a", "a"]}, "duplicate letter name 'a'"),
+        ({"initial": "no"}, "location flag initial must be true or false, not 'no'"),
+        ({"accepting": 1}, "location flag accepting must be true or false, not 1"),
     ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
             "entry", "set-range", "guard-range", "automaton-name", "location-name",
-            "letter"])
+            "letter", "alphabet-string", "alphabet-dict", "duplicate-location",
+            "duplicate-letter", "initial-string", "accepting-int"])
     def test_malformed_is_a_parse_error(self, capsys, tmp_path, overrides, message):
         path = self.write(tmp_path, **overrides)
         code, _, err = run(capsys, "validate", path)

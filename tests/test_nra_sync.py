@@ -15,9 +15,9 @@ from regsync.nra import (
     nonemptiness_witness,
 )
 from regsync.oracle import oracle_is_synchronizing
-from regsync.ra import TRUE, Eq, RegisterAutomaton, mk_transition, neq
-from regsync.semantics import FRESH, word_data
-from helpers import automaton, random_complete_automaton
+from regsync.ra import TRUE, Eq, RegisterAutomaton, conj, mk_transition, neq
+from regsync.semantics import FRESH, engine_for, instantiate_choice_word, word_data
+from helpers import all_choice_words, automaton, random_complete_automaton
 
 
 def full_update_loop():
@@ -171,6 +171,50 @@ class TestNonemptiness:
                 found += 1
                 assert accepts(aut, out.word)
         assert found > 0
+
+    def test_witness_has_the_least_accepted_length(self):
+        """Against every choice word within the bound: a Witness comes back
+        exactly when one is accepted, and it is accepted and of least
+        length.  A node budget gives BudgetExhausted or the same outcome."""
+        rng = random.Random(59)
+        kinds = set()
+        for _ in range(400):
+            aut = random_complete_automaton(rng, rng.randint(1, 3), rng.randint(0, 2),
+                                            rng.randint(1, 2), acceptance=True)
+            bound = rng.randint(0, 4)
+            lengths = [len(cw) for cw in all_choice_words(len(aut.alphabet), bound)
+                       if accepts(aut, instantiate_choice_word(cw, range(len(cw))))]
+            out = nonemptiness_witness(aut, bound)
+            kinds.add(type(out))
+            if lengths:
+                assert isinstance(out, Witness)
+                assert len(out.word) == min(lengths) and accepts(aut, out.word)
+            else:
+                assert isinstance(out, NoneWithinBound)
+            for max_nodes in (0, 1, 3):
+                capped = nonemptiness_witness(aut, bound, max_nodes)
+                assert isinstance(capped, BudgetExhausted) or capped == out
+        assert kinds == {Witness, NoneWithinBound}
+
+    def test_witness_follows_the_valuation_it_kept(self):
+        """From s2, one fresh datum reaches (t, pattern (0, 1)) through
+        `set r0` and through `set r1` with different valuations; the search
+        keeps the first, and the last datum must equal its r0."""
+        aut = automaton(
+            "twoways", ["init", "s", "s2", "t", "acc"], 2, ["a"],
+            [("init", "a", TRUE, {0, 1}, "s"),
+             ("s", "a", neq(0), {1}, "s2"),
+             ("s2", "a", conj([neq(0), neq(1)]), {0}, "t"),
+             ("s2", "a", conj([neq(0), neq(1)]), {1}, "t"),
+             ("t", "a", conj([Eq(0), neq(1)]), (), "acc")],
+            acceptance=("init", ["acc"]))
+        s2, t = 2, 3
+        assert engine_for(aut).post_config((s2, (0, 1)), 0, 2) == [(t, (2, 1)), (t, (0, 2))]
+        out = nonemptiness_witness(aut, 4)
+        assert isinstance(out, Witness)
+        assert out.word == ((0, 0), (0, 1), (0, 2), (0, 2))
+        assert accepts(aut, out.word)
+        assert isinstance(nonemptiness_witness(aut, 3), NoneWithinBound)
 
     def test_universality_and_nonemptiness_consistent(self):
         rng = random.Random(53)
