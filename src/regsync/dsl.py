@@ -10,17 +10,25 @@ Guards: true | =r<i> | !=r<i> | g & g | g | g | !g | (g), precedence ! > & > |.
 `set *` updates all registers; omitting `set` means no update.  Serialization
 is deterministic (stored order), so structurally equal automata print
 byte-identically and parse(serialize(x)) == x.
+
+Both parsers look guards up in one process-wide table, keyed by the guard's
+words joined by single spaces, so each distinct guard text is parsed once
+per process and every document that uses it shares one guard object (and
+the masks it keeps).  Each document still checks the guard's registers
+against its own `k`.  A guard that fails to parse is never stored, so every
+line that holds it reports its own position.  The table holds at most
+GUARD_TABLE_CAP texts and is cleared wholesale when full.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .ra import (
-    TRUE,
     Acceptance,
     And,
     Constraint,
@@ -28,7 +36,6 @@ from .ra import (
     Not,
     RegisterAutomaton,
     TrueC,
-    guard_registers,
     mk_transition,
 )
 
@@ -152,8 +159,8 @@ class _GuardParser:
                 self.pos += 1
             self.nesting -= 1
             return out
-        if tok == "true":
-            return TRUE, 1
+        if tok == "true":  # not the shared TRUE: the guard table owns parsed guards
+            return TrueC(), 1
         if tok.startswith("!=r"):
             return Not(Eq(int(tok[3:]))), 2
         if tok.startswith("=r"):
@@ -169,6 +176,30 @@ def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
     if not tokens:
         raise DslError([ParseDiagnostic(line, base_col + 1, "empty guard")])
     return _GuardParser(tokens, text, line, base_col).parse()
+
+
+# Most guard texts the process-wide table holds; see the module docstring.
+GUARD_TABLE_CAP = 4096
+_GUARDS: dict = {}  # guard words joined by single spaces -> guard
+
+
+def _shared_guard(key: str) -> Constraint:
+    """The guard for the text `key`, from the table or parsed now.  A
+    DslError propagates and nothing is stored."""
+    guard = _GUARDS.get(key)
+    if guard is None:
+        guard = parse_guard(key)
+        if len(_GUARDS) >= GUARD_TABLE_CAP:
+            _GUARDS.clear()
+        _GUARDS[key] = guard
+    return guard
+
+
+def _least_out_of_range(registers: tuple, k: int) -> Optional[int]:
+    """The least of the increasing `registers` that is >= k, or None."""
+    if not registers or registers[-1] < k:
+        return None
+    return registers[bisect_left(registers, k)]
 
 
 def _is_or(guard: Constraint) -> bool:
@@ -297,11 +328,10 @@ def parse_automaton(doc) -> RegisterAutomaton:
 
     loc_ids = {name: i for i, name in enumerate(draft.locations)}
     letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
-    guards = {}
     transitions = []
     for lineno, raw, words in draft.transitions:
         transitions.append(_parse_transition(
-            lineno, raw, words, loc_ids, letter_ids, draft.registers, guards, diags))
+            lineno, raw, words, loc_ids, letter_ids, draft.registers, diags))
     if diags:
         raise DslError(diags, doc.provenance)
 
@@ -324,12 +354,11 @@ def parse_automaton(doc) -> RegisterAutomaton:
     )
 
 
-def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, guards, diags):
-    """One `trans` line.  `guards` maps each guard's words, joined by single
-    spaces, to (guard, least out-of-range register or None) for this
-    document.  Guard tokens never span spaces, so texts with the same words
-    tokenize alike and columns are needed only for a diagnostic.  A failed
-    parse is not kept, so every line reports its own position."""
+def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
+    """One `trans` line.  Its guard comes from the shared table: guard tokens
+    never span spaces, so texts with the same words tokenize alike and
+    columns are needed only for a diagnostic, worked out from the line's own
+    text."""
 
     def fail(i, message):
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
@@ -351,23 +380,17 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, guards, diags)
     if set_at == 7:
         fail(6, "missing guard after 'when'")
         return None
-    key = " ".join(words[7:set_at])
-    entry = guards.get(key)
-    if entry is None:
+    try:
+        guard = _shared_guard(" ".join(words[7:set_at]))
+    except DslError:
+        # Parse the line's own text for the diagnostic's columns.
+        start = _column(raw, 7) - 1
+        end = _column(raw, set_at) - 1 if set_at < len(words) else len(raw)
         try:
-            try:
-                guard = parse_guard(key)
-            except DslError:
-                # Parse the line's own text for the diagnostic's columns.
-                start = _column(raw, 7) - 1
-                end = _column(raw, set_at) - 1 if set_at < len(words) else len(raw)
-                guard = parse_guard(raw[start:end], lineno, start)
+            parse_guard(raw[start:end], lineno, start)
         except DslError as err:
             diags.extend(err.diagnostics)
-            return None
-        bad = [r for r in guard_registers(guard) if r >= k]
-        entry = guards[key] = (guard, min(bad, default=None))
-    guard, bad = entry
+        return None
     update = ()
     if set_at < len(words):
         regs = words[set_at + 1:]
@@ -385,6 +408,7 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, guards, diags)
                     update.add(idx)
                 else:
                     fail(i, f"bad register {reg!r} (expected r<i> or *)")
+    bad = _least_out_of_range(guard.registers, k)
     if bad is not None:
         fail(7, f"guard register out of range: r{bad}")
     if diags:
@@ -476,6 +500,9 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
             for name in names:
                 if not isinstance(name, str):
                     raise error(f"{what} name must be a string, not {name!r}")
+                if name.split() != [name]:  # the DSL could not write it back
+                    raise error(f"{what} name {name!r} must be one word, "
+                                "non-empty and without whitespace")
                 if name in known:
                     raise error(f"duplicate {what} name {name!r}")
                 known.add(name)
@@ -496,10 +523,17 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
                         raise error(f"update register {reg} out of range")
             else:
                 raise error(f'bad set {regs!r} (expected a list of r<i>, or ["*"])')
-            guard = parse_guard(entry["when"])
-            bad = [r for r in guard_registers(guard) if r >= k]
-            if bad:
-                raise error(f"guard register out of range: r{min(bad)}")
+            when = entry["when"]
+            if not isinstance(when, str):
+                raise error(f"guard must be a string, not {when!r}")
+            try:
+                guard = _shared_guard(" ".join(when.split()))
+            except DslError:
+                parse_guard(when)  # raises with columns in the text as given
+                raise
+            bad = _least_out_of_range(guard.registers, k)
+            if bad is not None:
+                raise error(f"guard register out of range: r{bad}")
             transitions.append(mk_transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
                 guard, update, loc_ids[entry["target"]]))

@@ -36,9 +36,31 @@ class ResourceCapError(RuntimeError):
 
 
 class Constraint:
-    """Base class for register-constraint ASTs."""
+    """Base class for register-constraint ASTs.
+
+    A guard works out the facts compiling needs, its registers and its mask
+    per k, once and keeps them on itself.  They are not fields, so equality
+    and hashing ignore them, and they are freed with the guard.
+    """
 
     __slots__ = ()
+
+    @cached_property
+    def registers(self) -> tuple:
+        """The registers this guard reads, in increasing order."""
+        return tuple(sorted(guard_registers(self)))
+
+    @cached_property
+    def _masks(self) -> dict:
+        return {}
+
+    def mask(self, k: int) -> int:
+        """guard_mask(self, k), computed once per k."""
+        masks = self._masks
+        out = masks.get(k)
+        if out is None:
+            out = masks[k] = guard_mask(self, k)
+        return out
 
 
 @dataclass(frozen=True)
@@ -231,8 +253,6 @@ def validate(aut: RegisterAutomaton) -> list:
             if name in seen:
                 diags.append(Diagnostic("duplicate-name", f"duplicate {kind} name {name!r}"))
             seen.add(name)
-    bad_registers = {key: [r for r in guard_registers(g) if not 0 <= r < aut.registers]
-                     for key, g in _distinct_guards(aut).items()}
     for i, t in enumerate(aut.transitions):
         if not 0 <= t.source < n_loc:
             diags.append(Diagnostic("dangling-id", f"transition {i}: source {t.source} out of range"))
@@ -240,11 +260,12 @@ def validate(aut: RegisterAutomaton) -> list:
             diags.append(Diagnostic("dangling-id", f"transition {i}: target {t.target} out of range"))
         if not 0 <= t.letter < n_sym:
             diags.append(Diagnostic("dangling-id", f"transition {i}: letter {t.letter} out of range"))
-        bad = bad_registers[id(t.guard)]
-        if bad:
+        regs = t.guard.registers
+        if regs and (regs[0] < 0 or regs[-1] >= aut.registers):
+            bad = [r for r in regs if not 0 <= r < aut.registers]
             diags.append(Diagnostic(
                 "guard-register-range",
-                f"transition {i}: guard register out of range: {sorted(bad)}"))
+                f"transition {i}: guard register out of range: {bad}"))
         bad = [r for r in t.update if not 0 <= r < aut.registers]
         if bad:
             diags.append(Diagnostic(
@@ -266,13 +287,6 @@ def validate(aut: RegisterAutomaton) -> list:
     return diags
 
 
-def _distinct_guards(aut: RegisterAutomaton) -> dict:
-    """id -> guard for each distinct guard object, in first-use order.  Ids
-    are exact keys while the transitions keep every guard alive; parsed
-    automata share one object per distinct guard text."""
-    return {id(t.guard): t.guard for t in aut.transitions}
-
-
 def check_validated(aut: RegisterAutomaton) -> None:
     diags = validate(aut)
     if diags:
@@ -283,9 +297,11 @@ class CompiledAutomaton:
     """An automaton's guards compiled once, with every structural check on them.
 
     `diagnostics` is validate()'s verdict and `masks[i]` transition i's guard
-    mask, computed once per distinct guard object.  `table[loc][letter]` lists the cell's satisfiable transitions in
-    stored order as (mask, sorted update, target), leaving out any with a
-    dangling id, and `covered[loc][letter]` is the union of their masks.
+    mask, which each guard object computes once per k (parsed automata share
+    one object per guard text).  `table[loc][letter]` lists the cell's
+    satisfiable transitions in stored order as (mask, sorted update, target),
+    leaving out any with a dangling id, and `covered[loc][letter]` is the
+    union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
     transition and with two, in (location, letter, sigma) order, or None.
     `engine` is set by semantics.engine_for on first use.
@@ -301,8 +317,7 @@ class CompiledAutomaton:
             raise ResourceCapError(
                 f"k={k} exceeds the assignment-enumeration cap {REGISTER_ENUMERATION_CAP}")
         self.diagnostics = validate(aut)
-        mask_of = {key: guard_mask(g, k) for key, g in _distinct_guards(aut).items()}
-        self.masks = masks = tuple(mask_of[id(t.guard)] for t in aut.transitions)
+        self.masks = masks = tuple(t.guard.mask(k) for t in aut.transitions)
         n_loc, n_sym = len(aut.locations), len(aut.alphabet)
         cells = [[[] for _ in range(n_sym)] for _ in range(n_loc)]
         for i, t in enumerate(aut.transitions):

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from regsync import dsl
 from regsync.dsl import SourceDocument, parse_automaton
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -11,3 +12,9 @@ DATA = pathlib.Path(__file__).parent / "data"
 def fig4():
     path = DATA / "fig4.ra"
     return parse_automaton(SourceDocument(path.read_text(), str(path)))
+
+
+@pytest.fixture
+def empty_guard_table(monkeypatch):
+    """An empty process-wide guard table for one test; the old one after it."""
+    monkeypatch.setattr(dsl, "_GUARDS", {})

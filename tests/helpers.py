@@ -59,9 +59,13 @@ def _cell_guard(sigmas, k):
 
 
 def random_complete_automaton(rng: random.Random, n_locations, k, n_letters,
-                              deterministic=False, acceptance=False):
+                              deterministic=False, acceptance=False, sparse=False):
     """A random complete RA; per cell the assignment space is partitioned
-    among transitions (deterministic) or covered with possible overlaps."""
+    among transitions (deterministic) or covered with possible overlaps.
+
+    `sparse` (with `acceptance`) adds no overlapping transitions and makes
+    one location other than the initial one accepting, so that few words
+    are accepted and a wrong non-emptiness witness shows."""
     locations = [f"q{i}" for i in range(n_locations)]
     alphabet = [chr(ord("a") + i) for i in range(n_letters)]
     transitions = []
@@ -88,7 +92,7 @@ def random_complete_automaton(rng: random.Random, n_locations, k, n_letters,
                 transitions.append(mk_transition(
                     loc, letter, _cell_guard(sorted(part), k),
                     pick_update(loc), rng.randrange(n_locations)))
-            if not deterministic:
+            if not (deterministic or sparse):
                 for _ in range(rng.randint(0, 2)):
                     sub = rng.sample(range(1 << k), rng.randint(1, 1 << k))
                     transitions.append(mk_transition(
@@ -96,7 +100,10 @@ def random_complete_automaton(rng: random.Random, n_locations, k, n_letters,
                         pick_update(loc), rng.randrange(n_locations)))
     acc = None
     if acceptance:
-        accepting = frozenset(i for i in range(n_locations) if rng.random() < 0.5)
+        if sparse:
+            accepting = frozenset({rng.randrange(1, n_locations)} if n_locations > 1 else ())
+        else:
+            accepting = frozenset(i for i in range(n_locations) if rng.random() < 0.5)
         acc = Acceptance(initial, accepting)
     return RegisterAutomaton(
         f"rand{rng.randrange(10**6)}", tuple(locations), k, tuple(alphabet),

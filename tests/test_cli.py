@@ -162,10 +162,15 @@ class TestJsonMirror:
         ({"alphabet": ["a", "a"]}, "duplicate letter name 'a'"),
         ({"initial": "no"}, "location flag initial must be true or false, not 'no'"),
         ({"accepting": 1}, "location flag accepting must be true or false, not 1"),
+        ({"location": ""}, "location name '' must be one word"),
+        ({"alphabet": ["a\tb"]}, "letter name 'a\\tb' must be one word"),
+        ({"automaton": "my chain"}, "automaton name 'my chain' must be one word"),
+        ({"when": 5}, "guard must be a string, not 5"),
     ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
             "entry", "set-range", "guard-range", "automaton-name", "location-name",
             "letter", "alphabet-string", "alphabet-dict", "duplicate-location",
-            "duplicate-letter", "initial-string", "accepting-int"])
+            "duplicate-letter", "initial-string", "accepting-int", "empty-location",
+            "spaced-letter", "spaced-automaton", "guard-not-string"])
     def test_malformed_is_a_parse_error(self, capsys, tmp_path, overrides, message):
         path = self.write(tmp_path, **overrides)
         code, _, err = run(capsys, "validate", path)
@@ -184,6 +189,15 @@ class TestJsonMirror:
         path = self.write(tmp_path, set=["*"])
         code, out, _ = run(capsys, "validate", path)
         assert code == 0 and "ok" in out
+
+    def test_location_name_with_a_space_is_a_parse_error(self, capsys, tmp_path):
+        """The DSL that `gen` would print for it could not be parsed back."""
+        path = self.write(tmp_path, location="q 0")
+        code, _, err = run(capsys, "validate", path)
+        assert code == 3
+        assert err.startswith(f"{path}:1:1: location name 'q 0' must be one word, "
+                              "non-empty and without whitespace")
+        assert run(capsys, "gen", "reduce-nonuniv", "--input", path)[0] == 3
 
     def test_bad_json_names_the_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regsync import dsl
 from regsync.dsl import (
     MAX_GUARD_DEPTH,
     DslError,
@@ -19,7 +20,7 @@ from regsync.gadgets import (
     reduce_nonuniv_to_sync,
     reduce_sync_to_nonuniv,
 )
-from regsync.ra import TRUE, And, Eq, Not, validate
+from regsync.ra import TRUE, And, Eq, Not, guard_mask, validate
 from helpers import (
     automaton,
     random_complete_automaton,
@@ -280,3 +281,71 @@ class TestAgainstReferenceParser:
         assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
             (5, col, message), (6, col + 3, message), (7, col, message)]
         assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+
+
+def _doc(name, k, guards):
+    lines = [f"automaton {name}", f"registers {k}", "alphabet a", "location q"]
+    lines += [f"trans q -> q on a when {g}" for g in guards]
+    return "\n".join(lines) + "\n"
+
+
+class TestGuardTable:
+    """Every document parsed in the process looks its guards up in one table."""
+
+    def test_each_document_checks_its_own_k(self, empty_guard_table):
+        wide = parse_automaton(_doc("wide", 3, ["=r0 | !=r2", "=r0"]))
+        narrow = parse_automaton(_doc("narrow", 1, ["=r0"]))
+        shared = narrow.transitions[0].guard
+        assert shared is wide.transitions[1].guard
+        assert wide.compiled.masks == (guard_mask(parse_guard("=r0 | !=r2"), 3),
+                                       guard_mask(Eq(0), 3))
+        assert narrow.compiled.masks == (guard_mask(Eq(0), 1),) == (0b10,)
+        assert shared.mask(3) == guard_mask(Eq(0), 3) != shared.mask(1)
+        text = _doc("narrow", 1, ["=r0", "=r0 | !=r2"])
+        with pytest.raises(DslError) as err:
+            parse_automaton(text)
+        line = text.splitlines()[5]
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (6, line.index("=r0 | !=r2") + 1, "guard register out of range: r2")]
+        assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
+
+    def test_failed_guard_is_not_stored(self, empty_guard_table):
+        text = _doc("bad", 1, ["=r0", "=r0 & =rX", "(=r0"])
+        with pytest.raises(DslError) as err:
+            parse_automaton(text)
+        assert len(err.value.diagnostics) == 2
+        assert list(dsl._GUARDS) == ["=r0"]
+        with pytest.raises(DslError) as again:
+            parse_automaton(text)
+        assert again.value.diagnostics == err.value.diagnostics
+
+    def test_table_is_bounded(self, monkeypatch, empty_guard_table):
+        cap = 4
+        monkeypatch.setattr(dsl, "GUARD_TABLE_CAP", cap)
+        guards = ["=r0", "=r1", "!=r0", "=r0 & =r1", "true"]  # cap + 1 distinct texts
+        for name in ("one", "two"):
+            text = _doc(name, 2, guards)
+            assert parse_automaton(text) == reference_parse_automaton(text)
+            assert len(dsl._GUARDS) <= cap
+        text = _doc("three", 2, guards[::-1] + guards)
+        assert parse_automaton(text) == reference_parse_automaton(text)
+        assert len(dsl._GUARDS) <= cap
+
+    def test_dsl_and_json_share_guards(self, empty_guard_table):
+        aut = gen_counter_nra(2)
+        from_dsl = parse_automaton(serialize_automaton(aut))
+        from_json = parse_automaton(serialize_automaton(aut, "json"))
+        assert from_dsl == from_json == aut
+        assert all(t.guard is u.guard
+                   for t, u in zip(from_dsl.transitions, from_json.transitions))
+
+    def test_cached_facts_leave_equality_and_printing_alone(self):
+        for text in ("true", "=r0 & !=r1", "!(=r0 | =r2) & true"):
+            guard, twin = parse_guard(text), parse_guard(text)
+            before = (hash(guard), repr(guard), format_guard(guard))
+            assert guard.registers == tuple(sorted({int(c) for c in text if c.isdigit()}))
+            assert guard.mask(3) == guard_mask(twin, 3)
+            assert guard == twin and twin == guard
+            assert (hash(guard), repr(guard), format_guard(guard)) == before
+            assert hash(twin) == hash(guard) and repr(twin) == repr(guard)
+            assert parse_guard(format_guard(guard)) == guard

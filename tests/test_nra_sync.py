@@ -177,11 +177,27 @@ class TestNonemptiness:
         exactly when one is accepted, and it is accepted and of least
         length.  A node budget gives BudgetExhausted or the same outcome."""
         rng = random.Random(59)
+        self.check_least_accepted_length([
+            (random_complete_automaton(rng, rng.randint(1, 3), rng.randint(0, 2),
+                                       rng.randint(1, 2), acceptance=True),
+             rng.randint(0, 4))
+            for _ in range(400)])
+
+    def test_sparse_witness_has_the_least_accepted_length(self):
+        """The same on automata with one accepting location and no
+        overlapping transitions, where few words are accepted, so a search
+        that reaches too few or wrong states shows."""
+        rng = random.Random(61)
+        self.check_least_accepted_length([
+            (random_complete_automaton(rng, rng.randint(2, 4), rng.randint(1, 2),
+                                       rng.randint(1, 2), acceptance=True, sparse=True),
+             rng.randint(2, 5))
+            for _ in range(200)])
+
+    @staticmethod
+    def check_least_accepted_length(cases):
         kinds = set()
-        for _ in range(400):
-            aut = random_complete_automaton(rng, rng.randint(1, 3), rng.randint(0, 2),
-                                            rng.randint(1, 2), acceptance=True)
-            bound = rng.randint(0, 4)
+        for aut, bound in cases:
             lengths = [len(cw) for cw in all_choice_words(len(aut.alphabet), bound)
                        if accepts(aut, instantiate_choice_word(cw, range(len(cw))))]
             out = nonemptiness_witness(aut, bound)

@@ -85,9 +85,7 @@ class TestCompiledMasks:
             "trans q -> q on b when true\n"
             "trans p -> p on b when !(=r0 & !=r1)\n")
 
-    def test_one_mask_per_distinct_parsed_guard(self, monkeypatch):
-        aut = parse_automaton(self.TEXT)
-        expected = tuple(guard_mask(t.guard, aut.k) for t in aut.transitions)
+    def test_one_mask_per_distinct_parsed_guard(self, monkeypatch, empty_guard_table):
         calls = []
 
         def counting(guard, k):
@@ -95,8 +93,16 @@ class TestCompiledMasks:
             return guard_mask(guard, k)
 
         monkeypatch.setattr(ra, "guard_mask", counting)
-        assert aut.compiled.masks == expected
+        aut = parse_automaton(self.TEXT)
+        assert aut.compiled.masks == tuple(guard_mask(t.guard, aut.k) for t in aut.transitions)
         assert len(calls) == 3  # "=r0 & !=r1", "!(=r0 & !=r1)" and "true"
+        # Another document with the same guard texts shares their guards and masks.
+        other = parse_automaton(self.TEXT.replace("automaton t", "automaton u")
+                                .replace("when true", "when  true"))
+        assert other.compiled.masks == aut.compiled.masks
+        assert [t.guard for t in other.transitions] == [t.guard for t in aut.transitions]
+        assert all(t.guard is u.guard for t, u in zip(other.transitions, aut.transitions))
+        assert len(calls) == 3
 
     def test_equal_but_distinct_guard_objects(self):
         aut = automaton("t", ["p"], 2, ["a", "b"], [
