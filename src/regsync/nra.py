@@ -15,6 +15,12 @@ a step on the last layer, which is never expanded, stop as soon as its
 partial successor is nonempty and fails the goal; such a set is dropped
 unstored.
 
+Membership (`accepts`) needs no abstraction.  Every transition leaving the
+initial location updates all registers, so the existential initial valuation
+only decides which transitions the first letter may fire, and it may fire
+each one; after that letter every register holds a word datum, and the rest
+of the word is a concrete walk over configuration sets.
+
 The general synchronization problem for NRAs is undecidable, so only
 bounded-exact and budget-limited modes exist here.
 """
@@ -27,7 +33,6 @@ from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
-    AbstractConfigSet,
     Engine,
     _Budget,
     _Exhausted,
@@ -114,12 +119,6 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
                    empty_word=False)
 
 
-def _universality_root(eng: Engine, initial: int) -> AbstractConfigSet:
-    """abstract_initial restricted to `initial`: every register partition there."""
-    configs = eng.abstract_initial().configs
-    return AbstractConfigSet(tuple(c for c in configs if c[0] == initial), 0)
-
-
 def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
                                  max_nodes: Optional[int] = None, bfs: bool = True):
     """The lexicographically least shortest data word of length <= bound
@@ -138,25 +137,32 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
         # no id at an accepting location
         return not any(mask & eng.location_masks[loc] for loc in accepting)
 
-    root = _universality_root(eng, aut.acceptance.initial)
-    return _search(eng, root.configs, rejected, SearchBudget(bound, None, max_nodes),
+    initial = aut.acceptance.initial
+    root = [c for c in eng.abstract_initial().configs if c[0] == initial]
+    return _search(eng, root, rejected, SearchBudget(bound, None, max_nodes),
                    empty_word=True)
 
 
 def accepts(aut: RegisterAutomaton, word) -> bool:
-    """Membership simulation: does some run over `word` reach acceptance?
+    """Membership: does some run over the data word `word` end in an
+    accepting location?
 
-    Tracks the set of abstract configurations reachable from the initial
-    location (initial valuation existential, hence all register partitions
-    at the root) along the word's choice structure.
+    The initial valuation is existential, and validation makes every
+    transition leaving the initial location update all registers, so the
+    first datum can meet every atom assignment there and the first letter
+    fires every transition of its initial cell, each landing with all
+    registers holding that datum.  From then on nothing is symbolic, and the
+    rest of the word is a concrete set walk (`Engine.post_set`).
     """
     if aut.acceptance is None:
         raise ValueError("accepts needs acceptance structure")
-    eng = engine_for(aut)
-    root = _universality_root(eng, aut.acceptance.initial)
-    aset = eng.abstract_run(choice_of_word(word), start=root)
-    accepting = aut.acceptance.accepting
-    return any(loc in accepting for loc, _ in aset.configs)
+    eng = engine_for(aut)  # validates, including the initial-update rule
+    acc = aut.acceptance
+    if not word:
+        return acc.initial in acc.accepting
+    letter, datum = word[0]
+    start = {(target, (datum,) * eng.k) for _, _, target in eng.table[acc.initial][letter]}
+    return any(loc in acc.accepting for loc, _ in eng.post_set(start, word[1:]))
 
 
 def nonemptiness_witness(aut: RegisterAutomaton, bound: int,

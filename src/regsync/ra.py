@@ -151,7 +151,8 @@ def eval_constraint(guard: Constraint, valuation: Valuation, datum: Datum) -> bo
 def guard_mask(guard: Constraint, k: int) -> int:
     """Bitmask over all 2^k atom assignments satisfying `guard`, in one
     bottom-up pass.  Atom =r<j> holds where bit j of sigma is set: blocks of
-    2^j clear then 2^j set bits, i.e. one such block times a repunit."""
+    2^j clear then 2^j set bits, i.e. one such block times a repunit.  An
+    atom on a register outside 0..k-1 holds nowhere; validate reports it."""
     full = (1 << (1 << k)) - 1
 
     def mask(g: Constraint) -> int:
@@ -159,7 +160,7 @@ def guard_mask(guard: Constraint, k: int) -> int:
         if kind is Not:
             return full ^ mask(g.operand)
         if kind is Eq:
-            if g.register >= k:
+            if not 0 <= g.register < k:
                 return 0
             block = 1 << g.register
             return full // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)

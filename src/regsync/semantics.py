@@ -22,6 +22,8 @@ configurations the Engine interns as small ids: a step ORs memoized
 successor masks, and dedup hashes one int.  Ids outlive the mask memo; the
 intern table is cleared only at the root of a search, once it holds more
 than SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.
+Concrete sets (membership, the DRA merge replay) step through `post_set`,
+which keeps no memo.
 
 `_search_bfs`, the one breadth-first search over abstract sets, prunes mask
 sets by subsumption for the NRA searches (the antichain idea of De Wulf,
@@ -211,11 +213,30 @@ class Engine:
         return out
 
     def post_set(self, configs, word) -> frozenset:
-        current = frozenset(configs)
+        """The configurations reached from the concrete `configs` along the
+        data word `word`.  This is the one concrete set step: it computes
+        each configuration's sigma and scans its cell in place, as
+        post_config does for one configuration."""
+        table = self.table
+        current = set(configs)
         for letter, datum in word:
-            current = frozenset(succ for config in current
-                                for succ in self.post_config(config, letter, datum))
-        return current
+            out = set()
+            for loc, values in current:
+                sigma = 0
+                for j, v in enumerate(values):
+                    if v == datum:
+                        sigma |= 1 << j
+                for mask, update, target in table[loc][letter]:
+                    if mask >> sigma & 1:
+                        if update:
+                            nv = list(values)
+                            for r in update:
+                                nv[r] = datum
+                            out.add((target, tuple(nv)))
+                        else:
+                            out.add((target, values))
+            current = out
+        return frozenset(current)
 
     # -- abstract ----------------------------------------------------------
 

@@ -28,6 +28,7 @@ from regsync.semantics import (
     _Exhausted,
     _canon_values,
     bfs_path,
+    choice_of_word,
     engine_for,
     instantiate_choice_word,
     is_synchronized,
@@ -279,6 +280,28 @@ def reference_abstract_successors(eng, config, letter, inp, fresh):
                     nv[r] = inp
                 out.add((target, _canon_values(nv)))
     return tuple(out)
+
+
+def reference_accepts(aut, word) -> bool:
+    """Reference for nra.accepts, as it was before membership became a
+    concrete run: the abstract run of the word's choice word from every
+    register partition at the initial location."""
+    eng = engine_for(aut)
+    acc = aut.acceptance
+    root = AbstractConfigSet(tuple(c for c in eng.abstract_initial().configs
+                                   if c[0] == acc.initial), 0)
+    aset = eng.abstract_run(choice_of_word(word), start=root)
+    return any(loc in acc.accepting for loc, _ in aset.configs)
+
+
+def reference_post_set(eng, configs, word) -> frozenset:
+    """Reference for Engine.post_set: the union of post_config per
+    configuration, letter by letter."""
+    current = frozenset(configs)
+    for letter, datum in word:
+        current = frozenset(succ for config in current
+                            for succ in eng.post_config(config, letter, datum))
+    return current
 
 
 def outcome_signature(out):

@@ -15,9 +15,9 @@ from regsync.nra import (
     nonemptiness_witness,
 )
 from regsync.oracle import oracle_is_synchronizing
-from regsync.ra import TRUE, Eq, RegisterAutomaton, conj, mk_transition, neq
+from regsync.ra import TRUE, Eq, RegisterAutomaton, StructuralError, conj, mk_transition, neq
 from regsync.semantics import FRESH, engine_for, instantiate_choice_word, word_data
-from helpers import all_choice_words, automaton, random_complete_automaton
+from helpers import all_choice_words, automaton, random_complete_automaton, reference_accepts
 
 
 def full_update_loop():
@@ -240,3 +240,57 @@ class TestNonemptiness:
             out = bounded_universality_witness(aut, 3)
             if isinstance(out, Witness):
                 assert not accepts(aut, out.word)
+
+
+class TestAccepts:
+    def test_agrees_with_the_abstract_run(self):
+        """Against the abstract run from every register partition at the
+        initial location, on dense and sparse acceptance NRAs with k = 0..3
+        and words of length 0..12 over a few data."""
+        rng = random.Random(67)
+        verdicts = set()
+        for k in range(4):
+            for sparse in (False, True):
+                for _ in range(25):
+                    aut = random_complete_automaton(rng, rng.randint(2, 4), k,
+                                                    rng.randint(1, 2), acceptance=True,
+                                                    sparse=sparse)
+                    for _ in range(4):
+                        n_data = rng.randint(1, 4)
+                        word = tuple((rng.randrange(len(aut.alphabet)), rng.randrange(n_data))
+                                     for _ in range(rng.randint(0, 12)))
+                        verdict = accepts(aut, word)
+                        assert verdict == reference_accepts(aut, word), (aut, word)
+                        verdicts.add((k, sparse, verdict))
+        assert len(verdicts) == 16  # both verdicts for every k and mode
+
+    def test_empty_initial_cell(self):
+        """No transition leaves the initial location on b, so no word
+        starting with b is accepted, although every location but the
+        initial one accepts it."""
+        aut = automaton(
+            "noexit", ["init", "acc"], 1, ["a", "b"],
+            [("init", "a", TRUE, {0}, "acc"),
+             ("acc", "a", TRUE, (), "acc"),
+             ("acc", "b", Eq(0), (), "acc")],
+            acceptance=("init", ["acc"]))
+        assert not accepts(aut, ())
+        assert accepts(aut, ((0, 5),)) and accepts(aut, ((0, 5), (1, 5)))
+        for word in (((1, 5),), ((1, 5), (0, 5)), ((1, 5), (1, 5))):
+            assert not accepts(aut, word) and not reference_accepts(aut, word)
+
+    def test_needs_the_initial_update_rule(self):
+        aut = automaton(
+            "keeps", ["q0", "q1"], 1, ["a"],
+            [("q0", "a", TRUE, (), "q1"), ("q1", "a", TRUE, {0}, "q1")],
+            acceptance=("q0", ["q1"]))
+        with pytest.raises(StructuralError, match="without updating all registers"):
+            accepts(aut, ((0, 1),))
+
+    def test_leaves_the_successor_memo_empty(self):
+        rng = random.Random(71)
+        aut = random_complete_automaton(rng, 3, 2, 2, acceptance=True)
+        for word in ((), ((0, 1),), ((0, 1), (1, 2), (0, 1), (1, 3))):
+            accepts(aut, word)
+        eng = engine_for(aut)
+        assert eng.successor_memo == {} and eng.memo_entries == 0

@@ -143,6 +143,17 @@ class TestValidate:
         diags = validate(aut)
         assert [d.code for d in diags] == ["guard-register-range"]
 
+    def test_negative_guard_register(self):
+        from regsync.semantics import engine_for
+
+        assert guard_mask(Eq(-1), 2) == 0
+        assert guard_mask(Not(Eq(-1)), 2) == 0b1111
+        aut = automaton("bad", ["q0"], 2, ["a"], [("q0", "a", Eq(-1), (), "q0")])
+        assert [d.code for d in validate(aut)] == ["guard-register-range"]
+        assert not is_complete(aut)
+        with pytest.raises(StructuralError, match="guard register out of range"):
+            engine_for(aut)
+
     def test_duplicate_location_name(self):
         aut = RegisterAutomaton("bad", ("q", "q"), 0, ("a",), ())
         assert any(d.code == "duplicate-name" for d in validate(aut))

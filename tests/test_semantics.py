@@ -24,7 +24,12 @@ from regsync.semantics import (
     sym,
     word_data,
 )
-from helpers import all_choice_words, random_complete_automaton, reference_abstract_successors
+from helpers import (
+    all_choice_words,
+    random_complete_automaton,
+    reference_abstract_successors,
+    reference_post_set,
+)
 
 
 class TestChoiceWords:
@@ -150,6 +155,20 @@ class TestPost:
             right = frozenset((l, tuple(pi[v] for v in vs))
                               for l, vs in post_set(aut, configs, word))
             assert left == right
+
+
+    def test_post_set_agrees_with_post_config(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            k = rng.randint(0, 3)
+            aut = random_complete_automaton(rng, rng.randint(1, 4), k, rng.randint(1, 2))
+            word = tuple((rng.randrange(len(aut.alphabet)), rng.randrange(4))
+                         for _ in range(rng.randint(0, 6)))
+            configs = {(rng.randrange(len(aut.locations)),
+                        tuple(rng.randrange(5) for _ in range(k)))
+                       for _ in range(rng.randint(1, 5))}
+            eng = semantics.engine_for(aut)
+            assert eng.post_set(configs, word) == reference_post_set(eng, configs, word)
 
 
 class TestAbstractPost:
