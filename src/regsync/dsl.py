@@ -9,15 +9,25 @@
 Guards: true | =r<i> | !=r<i> | g & g | g | g | !g | (g), precedence ! > & > |.
 `set *` updates all registers; omitting `set` means no update.  Serialization
 is deterministic (stored order), so structurally equal automata print
-byte-identically and parse(serialize(x)) == x.
+byte-identically and parse(serialize(x)) == x.  Both parsers reject more
+registers than ra.REGISTER_ENUMERATION_CAP, which no query can compile.
 
-Both parsers look guards up in one process-wide table, keyed by the guard's
-words joined by single spaces, so each distinct guard text is parsed once
-per process and every document that uses it shares one guard object (and
-the masks it keeps).  Each document still checks the guard's registers
-against its own `k`.  A guard that fails to parse is never stored, so every
-line that holds it reports its own position.  The table holds at most
-GUARD_TABLE_CAP texts and is cleared wholesale when full.
+Parsing keeps two process-wide tables.  The line table maps the raw text
+of a `trans` line to its parse with names left unresolved: (source,
+destination, letter, guard, update, need), where `need` is the largest
+register the line reads (-1 for none) and the update is a frozenset or
+SET_ALL for `set *`.  A document that meets a stored line resolves the
+names in its own maps and builds the transition without re-tokenizing; if
+a name is unknown there, `need` is not below its `k`, or an earlier line
+failed, the line is parsed again from its own words, so diagnostics and
+their columns never depend on what was stored.  Below it, both parsers
+look guards up in the guard table, keyed by the guard's words joined by
+single spaces, so each distinct guard text is parsed once per process and
+every document that uses it shares one guard object (and the masks it
+keeps); each document checks the guard's registers against its own `k`.
+Only lines and guards that parse without a diagnostic are stored.  Each
+table holds at most GUARD_TABLE_CAP entries and is cleared wholesale when
+full.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ from .ra import (
     Constraint,
     Eq,
     Not,
+    REGISTER_ENUMERATION_CAP,
     RegisterAutomaton,
+    Transition,
     TrueC,
-    mk_transition,
 )
 
 
@@ -178,9 +189,19 @@ def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
     return _GuardParser(tokens, text, line, base_col).parse()
 
 
-# Most guard texts the process-wide table holds; see the module docstring.
+# Most entries each process-wide table holds; see the module docstring.
 GUARD_TABLE_CAP = 4096
 _GUARDS: dict = {}  # guard words joined by single spaces -> guard
+_LINES: dict = {}  # raw `trans` line -> (src, dst, letter, guard, update, need)
+_UPDATES: dict = {}  # update frozenset -> the one instance the tables share
+SET_ALL = "*"  # a stored line's update for `set *`: every register of its document
+
+
+def _remember(table: dict, key, value) -> None:
+    """Store in one of the tables, emptying it first when it is full."""
+    if len(table) >= GUARD_TABLE_CAP:
+        table.clear()
+    table[key] = value
 
 
 def _shared_guard(key: str) -> Constraint:
@@ -189,10 +210,15 @@ def _shared_guard(key: str) -> Constraint:
     guard = _GUARDS.get(key)
     if guard is None:
         guard = parse_guard(key)
-        if len(_GUARDS) >= GUARD_TABLE_CAP:
-            _GUARDS.clear()
-        _GUARDS[key] = guard
+        _remember(_GUARDS, key, guard)
     return guard
+
+
+def _shared_update(registers) -> frozenset:
+    """The interned frozenset of `registers`, all below the register cap, so
+    the table stays small."""
+    update = frozenset(registers)
+    return _UPDATES.setdefault(update, update)
 
 
 def _least_out_of_range(registers: tuple, k: int) -> Optional[int]:
@@ -248,7 +274,8 @@ class _Draft:
     locations: list = field(default_factory=list)
     initial: Optional[str] = None
     accepting: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)  # raw tuples
+    # (lineno, raw, words, entry): words is None for a stored line, entry for a new one
+    transitions: list = field(default_factory=list)
 
 
 _WORD = re.compile(r"\S+")
@@ -274,12 +301,16 @@ def parse_automaton(doc) -> RegisterAutomaton:
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        entry = _LINES.get(raw)
+        if entry is not None:
+            draft.transitions.append((lineno, raw, None, entry))
+            continue
         words = raw.split()
         if not words:
             continue
         head = words[0]
         if head == "trans":
-            draft.transitions.append((lineno, raw, words))
+            draft.transitions.append((lineno, raw, words, None))
         elif head == "automaton":
             if len(words) != 2:
                 fail(0, "expected: automaton <name>")
@@ -290,6 +321,9 @@ def parse_automaton(doc) -> RegisterAutomaton:
                 fail(0, "expected: registers <k>")
             else:
                 draft.registers = int(words[1])
+                if draft.registers > REGISTER_ENUMERATION_CAP:
+                    fail(1, f"register count {draft.registers} exceeds the cap "
+                            f"{REGISTER_ENUMERATION_CAP}")
         elif head == "alphabet":
             draft.alphabet = words[1:]
         elif head == "location":
@@ -328,10 +362,19 @@ def parse_automaton(doc) -> RegisterAutomaton:
 
     loc_ids = {name: i for i, name in enumerate(draft.locations)}
     letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
+    k = draft.registers
+    every = _shared_update(range(k))
     transitions = []
-    for lineno, raw, words in draft.transitions:
-        transitions.append(_parse_transition(
-            lineno, raw, words, loc_ids, letter_ids, draft.registers, diags))
+    for lineno, raw, words, entry in draft.transitions:
+        if (entry is None or diags or entry[0] not in loc_ids or entry[1] not in loc_ids
+                or entry[2] not in letter_ids or entry[5] >= k):
+            entry = _parse_transition(lineno, raw, words or raw.split(), loc_ids, letter_ids,
+                                      k, diags)
+            if entry is None:
+                continue
+        src, dst, sym, guard, update, _ = entry
+        transitions.append(Transition(loc_ids[src], letter_ids[sym], guard,
+                                      every if update is SET_ALL else update, loc_ids[dst]))
     if diags:
         raise DslError(diags, doc.provenance)
 
@@ -355,10 +398,10 @@ def parse_automaton(doc) -> RegisterAutomaton:
 
 
 def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
-    """One `trans` line.  Its guard comes from the shared table: guard tokens
-    never span spaces, so texts with the same words tokenize alike and
-    columns are needed only for a diagnostic, worked out from the line's own
-    text."""
+    """One `trans` line's line-table entry, stored, or None once `diags` is
+    not empty.  Its guard comes from the guard table: guard tokens never
+    span spaces, so texts with the same words tokenize alike and columns are
+    needed only for a diagnostic, worked out from the line's own text."""
 
     def fail(i, message):
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
@@ -391,21 +434,20 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
         except DslError as err:
             diags.extend(err.diagnostics)
         return None
-    update = ()
+    update = []
     if set_at < len(words):
         regs = words[set_at + 1:]
         if not regs:
             fail(set_at, "empty 'set' clause")
         elif regs == ["*"]:
-            update = range(k)
+            update = SET_ALL
         else:
-            update = set()
             for i, reg in enumerate(regs, start=set_at + 1):
                 if _is_register(reg):
                     idx = int(reg[1:])
                     if idx >= k:
                         fail(i, f"update register {reg} out of range")
-                    update.add(idx)
+                    update.append(idx)
                 else:
                     fail(i, f"bad register {reg!r} (expected r<i> or *)")
     bad = _least_out_of_range(guard.registers, k)
@@ -413,7 +455,13 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
         fail(7, f"guard register out of range: r{bad}")
     if diags:
         return None
-    return mk_transition(loc_ids[src], letter_ids[sym], guard, update, loc_ids[dst])
+    reads = guard.registers
+    if update is not SET_ALL:
+        update = _shared_update(update)
+        reads += tuple(update)
+    entry = (src, dst, sym, guard, update, max(reads, default=-1))
+    _remember(_LINES, raw, entry)
+    return entry
 
 
 def _is_register(word) -> bool:
@@ -511,6 +559,8 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
         k = payload["registers"]
         if type(k) is not int or k < 0:
             raise error(f"registers must be a non-negative integer, not {k!r}")
+        if k > REGISTER_ENUMERATION_CAP:
+            raise error(f"register count {k} exceeds the cap {REGISTER_ENUMERATION_CAP}")
         transitions = []
         for entry in payload["transitions"]:
             regs = entry.get("set", [])
@@ -534,9 +584,9 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
             bad = _least_out_of_range(guard.registers, k)
             if bad is not None:
                 raise error(f"guard register out of range: r{bad}")
-            transitions.append(mk_transition(
+            transitions.append(Transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
-                guard, update, loc_ids[entry["target"]]))
+                guard, _shared_update(update), loc_ids[entry["target"]]))
         for entry in payload["locations"]:
             for flag in ("initial", "accepting"):
                 if type(entry.get(flag, False)) is not bool:

@@ -39,6 +39,7 @@ from .semantics import (
     _partitions,
     _search_bfs,
     bfs_path,
+    check_letters,
     choice_of_word,
     engine_for,
     instantiate_choice_word,
@@ -157,6 +158,7 @@ def accepts(aut: RegisterAutomaton, word) -> bool:
     if aut.acceptance is None:
         raise ValueError("accepts needs acceptance structure")
     eng = engine_for(aut)  # validates, including the initial-update rule
+    check_letters(aut, word)
     acc = aut.acceptance
     if not word:
         return acc.initial in acc.accepting

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Datum = int
 Valuation = tuple  # tuple[Datum, ...] of length k
@@ -185,8 +185,7 @@ def apply_update(valuation: Valuation, update, datum: Datum) -> Valuation:
 # Automata
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     letter: int
     guard: Constraint
@@ -300,9 +299,9 @@ class CompiledAutomaton:
     `diagnostics` is validate()'s verdict and `masks[i]` transition i's guard
     mask, which each guard object computes once per k (parsed automata share
     one object per guard text).  `table[loc][letter]` lists the cell's
-    satisfiable transitions in stored order as (mask, sorted update, target),
-    leaving out any with a dangling id, and `covered[loc][letter]` is the
-    union of their masks.
+    satisfiable transitions in stored order as (mask, update frozenset,
+    target), leaving out any with a dangling id, and `covered[loc][letter]`
+    is the union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
     transition and with two, in (location, letter, sigma) order, or None.
     `engine` is set by semantics.engine_for on first use.
@@ -342,7 +341,7 @@ class CompiledAutomaton:
                     first, second = [i for i in ids if masks[i] >> sigma & 1][:2]
                     self.conflict = (loc, letter, sigma, first, second)
         ts = aut.transitions
-        self.table = [[[(masks[i], tuple(sorted(ts[i].update)), ts[i].target) for i in ids]
+        self.table = [[[(masks[i], ts[i].update, ts[i].target) for i in ids]
                        for ids in row] for row in cells]
         self.engine = None
 

@@ -553,5 +553,17 @@ def abstract_post(aut: RegisterAutomaton, aset: AbstractConfigSet, inp) -> Abstr
     return engine_for(aut).abstract_post(aset, letter, choice)
 
 
+def check_letters(aut: RegisterAutomaton, word) -> None:
+    """Raise ValueError at the first letter id of `word` (pairs of letter and
+    datum or choice) outside range(len(aut.alphabet)): cell rows are lists,
+    so a negative id would silently read another letter's cell."""
+    n = len(aut.alphabet)
+    for position, (letter, _) in enumerate(word):
+        if not 0 <= letter < n:
+            raise ValueError(f"letter id {letter} at position {position} is not in "
+                             f"range({n})")
+
+
 def abstract_run(aut: RegisterAutomaton, cword) -> AbstractConfigSet:
+    check_letters(aut, cword)
     return engine_for(aut).abstract_run(cword)

@@ -16,5 +16,7 @@ def fig4():
 
 @pytest.fixture
 def empty_guard_table(monkeypatch):
-    """An empty process-wide guard table for one test; the old one after it."""
+    """Empty process-wide guard and line tables for one test; the old ones
+    after it."""
     monkeypatch.setattr(dsl, "_GUARDS", {})
+    monkeypatch.setattr(dsl, "_LINES", {})

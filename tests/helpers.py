@@ -9,6 +9,7 @@ from collections import deque
 
 from regsync.dsl import MAX_GUARD_DEPTH, DslError, ParseDiagnostic, SourceDocument
 from regsync.ra import (
+    REGISTER_ENUMERATION_CAP,
     TRUE,
     Acceptance,
     And,
@@ -498,6 +499,10 @@ def reference_parse_automaton(doc):
                 diags.append(ParseDiagnostic(lineno, col, "expected: registers <k>"))
             else:
                 registers = int(rest[0][0])
+                if registers > REGISTER_ENUMERATION_CAP:
+                    diags.append(ParseDiagnostic(
+                        lineno, rest[0][1],
+                        f"register count {registers} exceeds the cap {REGISTER_ENUMERATION_CAP}"))
         elif head == "alphabet":
             alphabet = [tok for tok, _ in rest]
         elif head == "location":

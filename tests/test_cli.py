@@ -61,6 +61,28 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert err.splitlines() == ["error: automaton has no locations"]
 
+    @pytest.mark.parametrize("k", [7, 30_000_000])
+    @pytest.mark.parametrize("fmt", ["dsl", "json"])
+    def test_register_count_over_the_cap(self, capsys, tmp_path, k, fmt):
+        """Rejected where the count is read, before `set *` could enumerate
+        k registers; no query could compile such an automaton."""
+        path = tmp_path / f"wide.{fmt}"
+        if fmt == "dsl":
+            path.write_text(f"automaton w\nregisters {k}\nalphabet a\nlocation q\n"
+                            "trans q -> q on a when true set *\n")
+            where = "2:11"
+        else:
+            path.write_text(json.dumps({
+                "automaton": "w", "registers": k, "alphabet": ["a"],
+                "locations": [{"name": "q"}],
+                "transitions": [{"source": "q", "target": "q", "on": "a", "when": "true",
+                                 "set": ["*"]}]}))
+            where = "1:1"
+        for command in ("validate", "sync-dra"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert err.splitlines() == [f"{path}:{where}: register count {k} exceeds the cap 6"]
+
     @pytest.mark.parametrize("guard", [
         "!" * 3000 + "=r0",
         "(" * 3000 + "=r0" + ")" * 3000,

@@ -20,7 +20,7 @@ from regsync.gadgets import (
     reduce_nonuniv_to_sync,
     reduce_sync_to_nonuniv,
 )
-from regsync.ra import TRUE, And, Eq, Not, guard_mask, validate
+from regsync.ra import TRUE, And, Eq, Not, Transition, guard_mask, validate
 from helpers import (
     automaton,
     random_complete_automaton,
@@ -100,6 +100,16 @@ class TestAutomatonRoundTrip:
         for aut in self.gadgets():
             assert parse_automaton(serialize_automaton(aut)) == aut
             assert parse_automaton(serialize_automaton(aut, "json")) == aut
+
+    def test_gadget_roundtrips_through_the_line_table(self, empty_guard_table):
+        """The second parse of each text builds every transition from the
+        line table."""
+        for aut in self.gadgets():
+            text = serialize_automaton(aut)
+            for _ in range(2):
+                back = parse_automaton(text)
+                assert back == aut
+                assert all(type(t) is Transition for t in back.transitions)
 
     def test_equal_values_serialize_identically(self):
         a = gen_chain_dra(2)
@@ -349,3 +359,116 @@ class TestGuardTable:
             assert (hash(guard), repr(guard), format_guard(guard)) == before
             assert hash(twin) == hash(guard) and repr(twin) == repr(guard)
             assert parse_guard(format_guard(guard)) == guard
+
+
+# `trans` lines shared by the documents of one sequence: names that only
+# some documents know, guards and updates that only some k allow, and lines
+# that never parse.
+SHARED_LINES = [
+    "trans p -> q on a when =r0 set *",
+    "trans q -> q on b when !=r1 & =r0 set r0",
+    "trans p -> p on a when true",
+    "trans  q -> p on b when =r2 | true set r2",
+    "trans r -> p on a when !=r0 set * ",
+    "trans q -> r on a when =r0 set r1 r0",
+    "trans p -> q on z when true set *",
+    "trans x -> p on a when true",
+    "trans p -> p on b when =r0 & =rX",
+    "trans p -> p on a when (=r0 set r0",
+    "trans p -> q on a when true set r5",
+    "trans p -> q on a when true set",
+]
+BAD_EARLIER_LINES = ["trans p -> q on a when", "trans p -> q", "bogus line"]
+
+
+@st.composite
+def shared_line_documents(draw):
+    """Two to five documents over one handful of shared `trans` lines that
+    differ in location order, alphabet, k and earlier bad lines."""
+    pool = draw(st.lists(st.sampled_from(SHARED_LINES), min_size=1, max_size=5, unique=True))
+    docs = []
+    for i in range(draw(st.integers(2, 5))):
+        # Mostly every name, so that most shared lines resolve.
+        locs = draw(st.permutations(["p", "q", "r"]))[:draw(st.sampled_from([3, 3, 3, 2, 1]))]
+        letters = draw(st.permutations(["a", "b"]))[:draw(st.sampled_from([2, 2, 2, 1]))]
+        k = draw(st.sampled_from([1, 2, 3]))
+        body = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        if draw(st.integers(0, 3)) == 0:
+            body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(BAD_EARLIER_LINES)))
+        lines = [f"automaton d{i}", f"registers {k}", "alphabet " + " ".join(letters)]
+        lines += [f"location {loc}" for loc in locs]
+        docs.append("\n".join(lines + body) + "\n")
+    return docs
+
+
+class TestLineTable:
+    """Every document parsed in the process looks its `trans` lines up in one
+    table, and a line found there is rebuilt against the document's own
+    names and k."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_line_documents())
+    def test_same_outcome_as_the_reference_parser(self, docs):
+        saved = dsl._LINES, dsl._GUARDS
+        dsl._LINES, dsl._GUARDS = {}, {}
+        try:
+            for text in docs:
+                assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton,
+                                                                   text)
+                assert len(dsl._LINES) <= dsl.GUARD_TABLE_CAP
+        finally:
+            dsl._LINES, dsl._GUARDS = saved
+
+    def test_stored_line_checks_the_new_k(self, empty_guard_table):
+        line = "trans q -> q on a when =r0 | =r2 set r0"
+        wide = f"automaton w\nregisters 3\nalphabet a\nlocation q\n{line}\n"
+        narrow = f"automaton n\nregisters 1\nalphabet b a\nlocation p\nlocation q\n\n{line}\n"
+        assert parse_automaton(wide) == reference_parse_automaton(wide)
+        assert line in dsl._LINES
+        with pytest.raises(DslError) as err:
+            parse_automaton(narrow)
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (7, line.index("=r0") + 1, "guard register out of range: r2")]
+        assert _outcome(parse_automaton, narrow) == _outcome(reference_parse_automaton, narrow)
+
+    def test_set_all_takes_each_documents_k(self, empty_guard_table):
+        line = "trans q -> q on a when true set *"
+        for k in (1, 3, 2, 0):
+            text = f"automaton t\nregisters {k}\nalphabet a\nlocation q\n{line}\n"
+            assert parse_automaton(text).transitions[0].update == frozenset(range(k))
+        assert dsl._LINES[line][4] is dsl.SET_ALL
+
+    def test_failed_line_is_not_stored(self, empty_guard_table):
+        good, bad = "trans q -> q on a when =r0", "trans q -> q on a when =r0 & =rX"
+        unknown, wide = "trans q -> s on a when true", "trans q -> q on a when =r1"
+        text = "\n".join(["automaton t", "registers 1", "alphabet a", "location q",
+                          good, bad, unknown, wide]) + "\n"
+        with pytest.raises(DslError) as err:
+            parse_automaton(text)
+        assert len(err.value.diagnostics) == 3
+        assert list(dsl._LINES) == [good]
+        with pytest.raises(DslError) as again:
+            parse_automaton(text)
+        assert again.value.diagnostics == err.value.diagnostics
+        assert list(dsl._LINES) == [good]
+
+    def test_table_is_bounded(self, monkeypatch, empty_guard_table):
+        cap = 4
+        monkeypatch.setattr(dsl, "GUARD_TABLE_CAP", cap)
+        guards = ["=r0", "=r1", "!=r0", "=r0 & =r1", "true"]  # cap + 1 distinct lines
+        for text in (_doc("one", 2, guards), _doc("two", 2, guards[::-1] + guards)):
+            for _ in range(2):
+                assert parse_automaton(text) == reference_parse_automaton(text)
+                assert len(dsl._LINES) <= cap
+
+    def test_reparse_tokenizes_no_line(self, monkeypatch, empty_guard_table):
+        calls = []
+        parse_transition = dsl._parse_transition
+        monkeypatch.setattr(dsl, "_parse_transition",
+                            lambda *args: calls.append(args[0]) or parse_transition(*args))
+        text = serialize_automaton(gen_counter_nra(2))
+        first = parse_automaton(text)
+        assert len(calls) == len(first.transitions) > 0
+        calls.clear()
+        assert parse_automaton(text) == first
+        assert calls == []

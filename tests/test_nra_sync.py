@@ -16,7 +16,7 @@ from regsync.nra import (
 )
 from regsync.oracle import oracle_is_synchronizing
 from regsync.ra import TRUE, Eq, RegisterAutomaton, StructuralError, conj, mk_transition, neq
-from regsync.semantics import FRESH, engine_for, instantiate_choice_word, word_data
+from regsync.semantics import FRESH, abstract_run, engine_for, instantiate_choice_word, word_data
 from helpers import all_choice_words, automaton, random_complete_automaton, reference_accepts
 
 
@@ -278,6 +278,22 @@ class TestAccepts:
         assert accepts(aut, ((0, 5),)) and accepts(aut, ((0, 5), (1, 5)))
         for word in (((1, 5),), ((1, 5), (0, 5)), ((1, 5), (1, 5))):
             assert not accepts(aut, word) and not reference_accepts(aut, word)
+
+    def test_letter_ids_are_range_checked(self):
+        """Cell rows are lists: unchecked, letter -1 would read b's cell and
+        letter 2 would raise a bare IndexError."""
+        aut = automaton(
+            "onb", ["init", "acc"], 1, ["a", "b"],
+            [("init", "b", TRUE, {0}, "acc")],
+            acceptance=("init", ["acc"]))
+        assert accepts(aut, ((1, 0),)) and not accepts(aut, ((0, 0),))
+        for word, position in ((((-1, 0),), 0), (((2, 0),), 0), (((1, 0), (-1, 0)), 1)):
+            letter = word[position][0]
+            message = f"letter id {letter} at position {position} is not in range\\(2\\)"
+            with pytest.raises(ValueError, match=message):
+                accepts(aut, word)
+            with pytest.raises(ValueError, match=message):
+                abstract_run(aut, tuple((letter, FRESH) for letter, _ in word))
 
     def test_needs_the_initial_update_rule(self):
         aut = automaton(

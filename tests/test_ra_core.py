@@ -117,6 +117,32 @@ class TestCompiledMasks:
         assert aut.compiled.masks[0] == aut.compiled.masks[2] != aut.compiled.masks[1]
 
 
+class TestTransition:
+    def test_fields_in_order(self):
+        assert ra.Transition._fields == ("source", "letter", "guard", "update", "target")
+        t = mk_transition(0, 1, Eq(0), [1, 0], 2)
+        assert tuple(t) == (t.source, t.letter, t.guard, t.update, t.target) \
+            == (0, 1, Eq(0), frozenset({0, 1}), 2)
+        with pytest.raises(AttributeError):
+            t.target = 0
+
+    def test_equality_and_hashing(self):
+        t = mk_transition(0, 1, And(Eq(0), TRUE), (0,), 2)
+        twin = ra.Transition(0, 1, And(Eq(0), TRUE), frozenset({0}), 2)
+        assert t == twin and hash(t) == hash(twin) and len({t, twin}) == 1
+        for other in (mk_transition(1, 1, And(Eq(0), TRUE), (0,), 2),
+                      mk_transition(0, 0, And(Eq(0), TRUE), (0,), 2),
+                      mk_transition(0, 1, Eq(0), (0,), 2),
+                      mk_transition(0, 1, And(Eq(0), TRUE), (), 2),
+                      mk_transition(0, 1, And(Eq(0), TRUE), (0,), 1)):
+            assert t != other
+
+    def test_repr(self):
+        assert repr(mk_transition(0, 1, Not(Eq(2)), {1}, 3)) == (
+            "Transition(source=0, letter=1, guard=Not(operand=Eq(register=2)), "
+            "update=frozenset({1}), target=3)")
+
+
 class TestApplyUpdate:
     def test_single(self):
         assert apply_update((1, 2, 3), {0}, 9) == (9, 2, 3)
