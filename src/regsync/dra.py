@@ -211,14 +211,20 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
 
 def _orbit_key(pair) -> tuple:
     """Equal for two unordered pairs exactly when a bijection of the data maps
-    one onto the other: the least, over both orderings, of the locations and
-    the values renumbered in first-occurrence order."""
-    keys = []
-    for ordered in (pair, pair[::-1]):
-        ids = {}
-        keys.append(tuple((loc, tuple(ids.setdefault(v, len(ids)) for v in values))
-                          for loc, values in ordered))
-    return min(keys)
+    one onto the other: the least, over both orderings, of the flat tuple of
+    the two locations and the values renumbered in first-occurrence order.
+    Locations compare first, so only a pair at one location needs both."""
+    (loc_a, values_a), (loc_b, values_b) = pair
+    if loc_a > loc_b:
+        loc_a, values_a, loc_b, values_b = loc_b, values_b, loc_a, values_a
+    values = values_a + values_b
+    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    key = (loc_a, loc_b, *map(ids.__getitem__, values))
+    if loc_a != loc_b:
+        return key
+    values = values_b + values_a
+    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return min(key, (loc_a, loc_b, *map(ids.__getitem__, values)))
 
 
 def _merge(eng: Engine, q1, q2, pool, max_nodes: Optional[int]) -> Optional[tuple]:

@@ -12,26 +12,36 @@ is deterministic (stored order), so structurally equal automata print
 byte-identically and parse(serialize(x)) == x.  Both parsers reject more
 registers than ra.REGISTER_ENUMERATION_CAP, which no query can compile.
 
-Parsing keeps two process-wide tables.  The line table maps the raw text
-of a `trans` line to its parse with names left unresolved: (source,
-destination, letter, guard, update, need), where `need` is the largest
-register the line reads (-1 for none) and the update is a frozenset or
-SET_ALL for `set *`.  A document that meets a stored line resolves the
-names in its own maps and builds the transition without re-tokenizing; if
-a name is unknown there, `need` is not below its `k`, or an earlier line
-failed, the line is parsed again from its own words, so diagnostics and
-their columns never depend on what was stored.  Below it, both parsers
-look guards up in the guard table, keyed by the guard's words joined by
-single spaces, so each distinct guard text is parsed once per process and
-every document that uses it shares one guard object (and the masks it
-keeps); each document checks the guard's registers against its own `k`.
-Only lines and guards that parse without a diagnostic are stored.  Each
-table holds at most GUARD_TABLE_CAP entries and is cleared wholesale when
-full.
+Parsing keeps three process-wide tables.  The document table maps a
+whole text (DSL or JSON) that parsed without a diagnostic to its automaton,
+compiled at that first parse; every later call with that text returns a new
+automaton, equal to the stored one, that shares its compiled form
+(ra.CompiledAutomaton, immutable).  Only shared data is stored: each
+returned automaton builds its own Engine on first use, so successor memos,
+intern tables, search state and verdicts are never shared between calls,
+and they are freed with the caller's automaton.  Below it, the line table
+maps the raw text of a `trans` line to its parse with names left
+unresolved: (source, destination, letter, guard, update, need), where
+`need` is the largest register the line reads (-1 for none) and the
+update is a frozenset or SET_ALL for `set *`.  A document that meets a
+stored line resolves the names in its own maps and builds the transition
+without re-tokenizing; if a name is unknown there, `need` is not below its
+`k`, or an earlier line failed, the line is parsed again from its own
+words, so diagnostics and their columns never depend on what was stored.
+Below that, both parsers look guards up in the guard table, keyed by the
+guard's words joined by single spaces, so each distinct guard text is
+parsed once per process and every document that uses it shares one guard
+object (and the masks it keeps); each document checks the guard's
+registers against its own `k`.  Only documents, lines and guards that
+parse without a diagnostic are stored, so a DslError always names the
+provenance of the call that raised it.  The line and guard tables hold at
+most GUARD_TABLE_CAP (4 096) entries each, the document table at most
+DOCUMENT_TABLE_CAP (64), and each is emptied wholesale when full.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 from bisect import bisect_left
@@ -190,16 +200,18 @@ def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
 
 
 # Most entries each process-wide table holds; see the module docstring.
-GUARD_TABLE_CAP = 4096
+GUARD_TABLE_CAP = 4096  # the guard and line tables
+DOCUMENT_TABLE_CAP = 64  # the document table: a compiled document is far larger
+_DOCUMENTS: dict = {}  # document text -> its automaton, compiled, never handed out
 _GUARDS: dict = {}  # guard words joined by single spaces -> guard
 _LINES: dict = {}  # raw `trans` line -> (src, dst, letter, guard, update, need)
 _UPDATES: dict = {}  # update frozenset -> the one instance the tables share
 SET_ALL = "*"  # a stored line's update for `set *`: every register of its document
 
 
-def _remember(table: dict, key, value) -> None:
-    """Store in one of the tables, emptying it first when it is full."""
-    if len(table) >= GUARD_TABLE_CAP:
+def _remember(table: dict, key, value, cap: int) -> None:
+    """Store in one of the tables, emptying it first when it holds `cap`."""
+    if len(table) >= cap:
         table.clear()
     table[key] = value
 
@@ -210,7 +222,7 @@ def _shared_guard(key: str) -> Constraint:
     guard = _GUARDS.get(key)
     if guard is None:
         guard = parse_guard(key)
-        _remember(_GUARDS, key, guard)
+        _remember(_GUARDS, key, guard, GUARD_TABLE_CAP)
     return guard
 
 
@@ -288,12 +300,26 @@ def _column(raw: str, i: int) -> int:
 
 
 def parse_automaton(doc) -> RegisterAutomaton:
-    """Parse the DSL (or, if the text starts with '{', the JSON mirror)."""
+    """Parse the DSL (or, if the text starts with '{', the JSON mirror).
+
+    Each call returns a new automaton.  A text parsed before comes from the
+    document table: the copy shares the stored compiled form, but gets its
+    own Engine on first use (semantics.engine_for)."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
     text = doc.text
-    if text.lstrip().startswith("{"):
-        return parse_automaton_json(text, doc.provenance)
+    stored = _DOCUMENTS.get(text)
+    if stored is None:
+        if text.lstrip().startswith("{"):
+            stored = parse_automaton_json(text, doc.provenance)
+        else:
+            stored = _parse_dsl(text, doc.provenance)
+        stored.compiled  # built once, here, and shared by every copy
+        _remember(_DOCUMENTS, text, stored, DOCUMENT_TABLE_CAP)
+    return copy.copy(stored)
+
+
+def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
     diags = []
     draft = _Draft()
 
@@ -320,9 +346,15 @@ def parse_automaton(doc) -> RegisterAutomaton:
             if len(words) != 2 or not words[1].isdecimal():
                 fail(0, "expected: registers <k>")
             else:
-                draft.registers = int(words[1])
+                # Checked before int(), which refuses thousands of digits: a count
+                # with more digits than the cap is over it.
+                count = words[1].lstrip("0") or "0"
+                if len(count) > len(str(REGISTER_ENUMERATION_CAP)):
+                    draft.registers = REGISTER_ENUMERATION_CAP + 1
+                else:
+                    draft.registers = int(count)
                 if draft.registers > REGISTER_ENUMERATION_CAP:
-                    fail(1, f"register count {draft.registers} exceeds the cap "
+                    fail(1, f"register count {count} exceeds the cap "
                             f"{REGISTER_ENUMERATION_CAP}")
         elif head == "alphabet":
             draft.alphabet = words[1:]
@@ -358,7 +390,7 @@ def parse_automaton(doc) -> RegisterAutomaton:
             diags.append(ParseDiagnostic(1, 1, f"duplicate letter name {letter!r}"))
         seen_letters.add(letter)
     if diags:
-        raise DslError(diags, doc.provenance)
+        raise DslError(diags, provenance)
 
     loc_ids = {name: i for i, name in enumerate(draft.locations)}
     letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
@@ -376,14 +408,14 @@ def parse_automaton(doc) -> RegisterAutomaton:
         transitions.append(Transition(loc_ids[src], letter_ids[sym], guard,
                                       every if update is SET_ALL else update, loc_ids[dst]))
     if diags:
-        raise DslError(diags, doc.provenance)
+        raise DslError(diags, provenance)
 
     acceptance = None
     if draft.initial is not None or draft.accepting:
         if draft.initial is None:
             raise DslError([ParseDiagnostic(1, 1,
                                             "accepting locations without an initial location")],
-                           doc.provenance)
+                           provenance)
         acceptance = Acceptance(
             initial=loc_ids[draft.initial],
             accepting=frozenset(loc_ids[name] for name in draft.accepting))
@@ -460,7 +492,7 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
         update = _shared_update(update)
         reads += tuple(update)
     entry = (src, dst, sym, guard, update, max(reads, default=-1))
-    _remember(_LINES, raw, entry)
+    _remember(_LINES, raw, entry, GUARD_TABLE_CAP)
     return entry
 
 
@@ -537,6 +569,8 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise error(f"bad JSON: {err.msg}", err.lineno, err.colno)
+    except ValueError as err:  # an integer of more digits than int() converts
+        raise error(f"malformed JSON automaton: {err}")
     try:
         alphabet = payload["alphabet"]
         if not isinstance(alphabet, list):

@@ -304,10 +304,12 @@ class CompiledAutomaton:
     is the union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
     transition and with two, in (location, letter, sigma) order, or None.
-    `engine` is set by semantics.engine_for on first use.
+    The form is immutable, all tuples, and holds no Engine: parsed automata
+    of one text share it (dsl's document table), while each automaton
+    instance keeps its own Engine (semantics.engine_for).
     """
 
-    __slots__ = ("diagnostics", "masks", "table", "covered", "gap", "conflict", "engine")
+    __slots__ = ("diagnostics", "masks", "table", "covered", "gap", "conflict")
 
     def __init__(self, aut: "RegisterAutomaton"):
         k = aut.registers
@@ -316,7 +318,7 @@ class CompiledAutomaton:
         if k > REGISTER_ENUMERATION_CAP:
             raise ResourceCapError(
                 f"k={k} exceeds the assignment-enumeration cap {REGISTER_ENUMERATION_CAP}")
-        self.diagnostics = validate(aut)
+        self.diagnostics = tuple(validate(aut))
         self.masks = masks = tuple(t.guard.mask(k) for t in aut.transitions)
         n_loc, n_sym = len(aut.locations), len(aut.alphabet)
         cells = [[[] for _ in range(n_sym)] for _ in range(n_loc)]
@@ -326,24 +328,26 @@ class CompiledAutomaton:
                 cells[t.source][t.letter].append(i)
         full = (1 << (1 << k)) - 1
         self.gap = self.conflict = None
-        self.covered = [[0] * n_sym for _ in range(n_loc)]
+        covered_rows = []
         for loc, row in enumerate(cells):
+            covered_row = []
             for letter, ids in enumerate(row):
                 covered = twice = 0
                 for i in ids:
                     twice |= covered & masks[i]
                     covered |= masks[i]
-                self.covered[loc][letter] = covered
+                covered_row.append(covered)
                 if self.gap is None and covered != full:
                     self.gap = (loc, letter, _lowest_bit(full & ~covered))
                 if self.conflict is None and twice:
                     sigma = _lowest_bit(twice)
                     first, second = [i for i in ids if masks[i] >> sigma & 1][:2]
                     self.conflict = (loc, letter, sigma, first, second)
+            covered_rows.append(tuple(covered_row))
+        self.covered = tuple(covered_rows)
         ts = aut.transitions
-        self.table = [[[(masks[i], ts[i].update, ts[i].target) for i in ids]
-                       for ids in row] for row in cells]
-        self.engine = None
+        self.table = tuple(tuple(tuple((masks[i], ts[i].update, ts[i].target) for i in ids)
+                                 for ids in row) for row in cells)
 
 
 def _lowest_bit(mask: int) -> int:

@@ -384,12 +384,15 @@ class Engine:
 
 
 def engine_for(aut: RegisterAutomaton) -> Engine:
-    """The one Engine of `aut`, built on first use and kept on its compiled
-    form, so it lives exactly as long as the automaton does."""
-    compiled = aut.compiled
-    if compiled.engine is None:
-        compiled.engine = Engine(aut)
-    return compiled.engine
+    """The one Engine of `aut`, built on first use and kept in the instance's
+    own __dict__, as `compiled` is.  It lives exactly as long as the
+    automaton does, and its memos, intern table and search state are never
+    shared: automata parsed from one text share their compiled form but
+    each builds its own Engine."""
+    engine = aut.__dict__.get("_engine")
+    if engine is None:
+        engine = aut.__dict__["_engine"] = Engine(aut)
+    return engine
 
 
 def bfs_path(parents: dict, node):

@@ -188,6 +188,18 @@ def concrete_merge(eng, q1, q2, pool):
     return None
 
 
+def reference_orbit_key(pair) -> tuple:
+    """Reference for dra._orbit_key, as it was before the flat key: the
+    least, over both orderings, of nested (location, renumbered values)
+    tuples, renumbered in first-occurrence order."""
+    keys = []
+    for ordered in (pair, pair[::-1]):
+        ids = {}
+        keys.append(tuple((loc, tuple(ids.setdefault(v, len(ids)) for v in values))
+                          for loc, values in ordered))
+    return min(keys)
+
+
 # ---------------------------------------------------------------------------
 # Reference bounded NRA search: breadth-first over tuple sets with no
 # pruning, as it was before the searches moved to interned bitmasks,

@@ -83,6 +83,24 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert err.splitlines() == [f"{path}:{where}: register count {k} exceeds the cap 6"]
 
+    @pytest.mark.parametrize("fmt", ["dsl", "json"])
+    def test_register_count_past_the_digits_int_converts(self, capsys, tmp_path, fmt):
+        """A count of 5 000 digits, which int() refuses, is still a
+        diagnostic with a position, not a traceback."""
+        count = "9" * 5000
+        path = tmp_path / f"huge.{fmt}"
+        if fmt == "dsl":
+            path.write_text(f"automaton w\nregisters {count}\nalphabet a\nlocation q\n")
+            expected = f"{path}:2:11: register count {count} exceeds the cap 6"
+        else:
+            path.write_text('{"automaton": "w", "registers": %s, "alphabet": ["a"], '
+                            '"locations": [{"name": "q"}], "transitions": []}' % count)
+            expected = f"{path}:1:1: malformed JSON automaton: "
+        for command in ("validate", "sync-dra"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith(expected)
+
     @pytest.mark.parametrize("guard", [
         "!" * 3000 + "=r0",
         "(" * 3000 + "=r0" + ")" * 3000,

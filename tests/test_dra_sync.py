@@ -27,7 +27,13 @@ from regsync.semantics import (
     is_synchronized,
     word_data,
 )
-from helpers import automaton, concrete_merge, pair_state_shrink, random_complete_automaton
+from helpers import (
+    automaton,
+    concrete_merge,
+    pair_state_shrink,
+    random_complete_automaton,
+    reference_orbit_key,
+)
 
 # A 2-register DRA whose shrink needs 2 nodes and whose two merges reach 9
 # and 8 orbits: a budget of 9 is enough per merge call, not for their sum.
@@ -226,6 +232,28 @@ class TestPairwiseMerge:
                     merged += word is not None
                     unmergeable += word is None
         assert merged > 100 and unmergeable > 20
+
+    def test_orbit_key_identifies_the_pairs_the_reference_key_does(self):
+        """Random pairs, their renamings under a bijection of the pool and
+        their swaps: two new keys are equal exactly when the reference keys
+        are."""
+        rng = random.Random(53)
+        for k in range(4):
+            pool = list(range(2 * k + 1))
+            pairs = []
+            for _ in range(50):
+                pair = tuple((rng.randrange(2), tuple(rng.choice(pool) for _ in range(k)))
+                             for _ in range(2))
+                rename = dict(zip(pool, rng.sample(pool, len(pool))))
+                renamed = tuple((loc, tuple(map(rename.get, values))) for loc, values in pair)
+                pairs += [pair, renamed, pair[::-1], renamed[::-1]]
+            keys = [dra._orbit_key(pair) for pair in pairs]
+            reference = [reference_orbit_key(pair) for pair in pairs]
+            for i in range(0, len(pairs), 4):
+                assert len(set(keys[i:i + 4])) == 1
+            for key, ref in zip(keys, reference):
+                assert [other == key for other in keys] == [other == ref for other in reference]
+            assert len(set(keys)) == len(set(reference)) > 1
 
     def test_node_budget(self):
         # a 3-cycle: the pair (q0, q1) visits three orbits and never merges

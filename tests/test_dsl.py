@@ -1,4 +1,7 @@
+import contextlib
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from regsync.gadgets import (
     reduce_sync_to_nonuniv,
 )
 from regsync.ra import TRUE, And, Eq, Not, Transition, guard_mask, validate
+from regsync.semantics import FRESH, abstract_run, engine_for
 from helpers import (
     automaton,
     random_complete_automaton,
@@ -107,6 +111,7 @@ class TestAutomatonRoundTrip:
         for aut in self.gadgets():
             text = serialize_automaton(aut)
             for _ in range(2):
+                dsl._DOCUMENTS.clear()  # reach the line table, not the document table
                 back = parse_automaton(text)
                 assert back == aut
                 assert all(type(t) is Transition for t in back.transitions)
@@ -470,5 +475,93 @@ class TestLineTable:
         first = parse_automaton(text)
         assert len(calls) == len(first.transitions) > 0
         calls.clear()
+        dsl._DOCUMENTS.clear()  # reach the line table, not the document table
         assert parse_automaton(text) == first
         assert calls == []
+
+
+# Documents that repeat in the document-table tests: both formats, a text
+# that differs from another only in spacing, and texts that never parse.
+DOCUMENTS = [
+    serialize_automaton(gen_chain_dra(1)),
+    serialize_automaton(gen_chain_dra(1)).replace("registers 1", "registers  1"),
+    serialize_automaton(gen_chain_dra(1), "json"),
+    serialize_automaton(gen_counter_nra(1)),
+    _doc("q", 2, ["=r0 | !=r1", "true"]),
+    _doc("bad", 1, ["=r0 & =rX"]),
+    _doc("wide", 1, ["=r2"]),
+    '{"automaton": "j", "registers": 1',
+    '{"automaton": "j", "registers": 1, "alphabet": "a"}',
+]
+
+
+@contextlib.contextmanager
+def _empty_tables():
+    """Every process-wide table empty inside the block; the old ones after it."""
+    saved = dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS
+    dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS = {}, {}, {}
+    try:
+        yield
+    finally:
+        dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS = saved
+
+
+class TestDocumentTable:
+    """A text that parsed is parsed and compiled once per process; every call
+    still returns its own automaton, which builds its own Engine."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(DOCUMENTS),
+                              st.sampled_from(["<inline>", "one.ra", "two.json"])),
+                    min_size=1, max_size=10))
+    def test_same_outcome_as_a_parse_with_every_table_empty(self, calls):
+        earlier = {}
+        with _empty_tables():
+            for text, provenance in calls:
+                doc = SourceDocument(text, provenance)
+                got = _outcome(parse_automaton, doc)
+                with _empty_tables():
+                    assert got == _outcome(parse_automaton, doc)
+                if isinstance(got, tuple):  # a DslError: its text names this call's file
+                    assert got[0].startswith(f"{provenance}:")
+                    assert text not in dsl._DOCUMENTS
+                    continue
+                stored = dsl._DOCUMENTS[text]
+                assert got == stored and got is not stored
+                assert got.compiled is stored.compiled
+                before = earlier.setdefault(text, got)
+                if before is not got:
+                    assert engine_for(got) is not engine_for(before)
+                assert engine_for(got) is engine_for(got)
+
+    def test_failing_text_is_never_stored(self, empty_guard_table):
+        for text in DOCUMENTS[-4:]:
+            for provenance in ("one.ra", "two.ra", "one.ra"):
+                with pytest.raises(DslError) as err:
+                    parse_automaton(SourceDocument(text, provenance))
+                assert err.value.provenance == provenance
+                assert str(err.value).startswith(f"{provenance}:")
+        assert dsl._DOCUMENTS == {}
+
+    def test_table_is_bounded(self, monkeypatch, empty_guard_table):
+        cap = 4
+        monkeypatch.setattr(dsl, "DOCUMENT_TABLE_CAP", cap)
+        texts = [_doc(f"d{i}", 1, ["=r0", "!=r0"]) for i in range(cap + 2)]
+        for text in texts + texts[::-1]:
+            assert parse_automaton(text) == reference_parse_automaton(text)
+            assert 0 < len(dsl._DOCUMENTS) <= cap
+            assert text in dsl._DOCUMENTS
+
+    def test_engine_is_freed_with_the_automaton(self, empty_guard_table):
+        text = serialize_automaton(gen_chain_dra(2))
+        aut = parse_automaton(text)
+        abstract_run(aut, ((0, FRESH),))  # fills the Engine's memo
+        compiled = aut.compiled
+        aut_ref, eng_ref = weakref.ref(aut), weakref.ref(engine_for(aut))
+        del aut
+        gc.collect()
+        assert aut_ref() is None and eng_ref() is None
+        assert dsl._DOCUMENTS[text].compiled is compiled
+        again = parse_automaton(text)
+        assert again.compiled is compiled
+        assert "_engine" not in dsl._DOCUMENTS[text].__dict__
