@@ -12,31 +12,22 @@ is deterministic (stored order), so structurally equal automata print
 byte-identically and parse(serialize(x)) == x.  Both parsers reject more
 registers than ra.REGISTER_ENUMERATION_CAP, which no query can compile.
 
-Parsing keeps three process-wide tables.  The document table maps a
-whole text (DSL or JSON) that parsed without a diagnostic to its automaton,
+Parsing keeps two process-wide tables.  The document table maps a whole
+text (DSL or JSON) that parsed without a diagnostic to its automaton,
 compiled at that first parse; every later call with that text returns a new
 automaton, equal to the stored one, that shares its compiled form
 (ra.CompiledAutomaton, immutable).  Only shared data is stored: each
 returned automaton builds its own Engine on first use, so successor memos,
 intern tables, search state and verdicts are never shared between calls,
-and they are freed with the caller's automaton.  Below it, the line table
-maps the raw text of a `trans` line to its parse with names left
-unresolved: (source, destination, letter, guard, update, need), where
-`need` is the largest register the line reads (-1 for none) and the
-update is a frozenset or SET_ALL for `set *`.  A document that meets a
-stored line resolves the names in its own maps and builds the transition
-without re-tokenizing; if a name is unknown there, `need` is not below its
-`k`, or an earlier line failed, the line is parsed again from its own
-words, so diagnostics and their columns never depend on what was stored.
-Below that, both parsers look guards up in the guard table, keyed by the
-guard's words joined by single spaces, so each distinct guard text is
-parsed once per process and every document that uses it shares one guard
-object (and the masks it keeps); each document checks the guard's
-registers against its own `k`.  Only documents, lines and guards that
-parse without a diagnostic are stored, so a DslError always names the
-provenance of the call that raised it.  The line and guard tables hold at
-most GUARD_TABLE_CAP (4 096) entries each, the document table at most
-DOCUMENT_TABLE_CAP (64), and each is emptied wholesale when full.
+and they are freed with the caller's automaton.  Below it, both parsers
+look guards up in the guard table, keyed by the guard's words joined by
+single spaces, so each distinct guard text is parsed once per process and
+every document that uses it shares one guard object (and the masks it
+keeps); each document checks the guard's registers against its own `k`.
+Only documents and guards that parse without a diagnostic are stored, so a
+DslError always names the provenance of the call that raised it.  The guard
+table holds at most GUARD_TABLE_CAP (4 096) entries, the document table at
+most DOCUMENT_TABLE_CAP (64), and each is emptied wholesale when full.
 """
 
 from __future__ import annotations
@@ -183,10 +174,26 @@ class _GuardParser:
         if tok == "true":  # not the shared TRUE: the guard table owns parsed guards
             return TrueC(), 1
         if tok.startswith("!=r"):
-            return Not(Eq(int(tok[3:]))), 2
+            return Not(Eq(self._register(tok[3:], at))), 2
         if tok.startswith("=r"):
-            return Eq(int(tok[2:])), 1
+            return Eq(self._register(tok[2:], at)), 1
         self._fail(f"unexpected guard token {tok!r}")
+
+    def _register(self, digits: str, at: int) -> int:
+        index = _index(digits)
+        if index is None:
+            self._fail(f"guard register out of range: r{digits}", at)
+        return index
+
+
+def _index(digits: str) -> Optional[int]:
+    """The number a run of decimal digits spells, or None if, leading zeros
+    aside, it has more digits than int() converts: a register index past
+    every register count."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:  # the digit limit, the one error a digit run can raise
+        return None
 
 
 def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
@@ -200,13 +207,10 @@ def parse_guard(text: str, line: int = 1, base_col: int = 0) -> Constraint:
 
 
 # Most entries each process-wide table holds; see the module docstring.
-GUARD_TABLE_CAP = 4096  # the guard and line tables
+GUARD_TABLE_CAP = 4096  # the guard table
 DOCUMENT_TABLE_CAP = 64  # the document table: a compiled document is far larger
 _DOCUMENTS: dict = {}  # document text -> its automaton, compiled, never handed out
 _GUARDS: dict = {}  # guard words joined by single spaces -> guard
-_LINES: dict = {}  # raw `trans` line -> (src, dst, letter, guard, update, need)
-_UPDATES: dict = {}  # update frozenset -> the one instance the tables share
-SET_ALL = "*"  # a stored line's update for `set *`: every register of its document
 
 
 def _remember(table: dict, key, value, cap: int) -> None:
@@ -224,13 +228,6 @@ def _shared_guard(key: str) -> Constraint:
         guard = parse_guard(key)
         _remember(_GUARDS, key, guard, GUARD_TABLE_CAP)
     return guard
-
-
-def _shared_update(registers) -> frozenset:
-    """The interned frozenset of `registers`, all below the register cap, so
-    the table stays small."""
-    update = frozenset(registers)
-    return _UPDATES.setdefault(update, update)
 
 
 def _least_out_of_range(registers: tuple, k: int) -> Optional[int]:
@@ -286,8 +283,7 @@ class _Draft:
     locations: list = field(default_factory=list)
     initial: Optional[str] = None
     accepting: list = field(default_factory=list)
-    # (lineno, raw, words, entry): words is None for a stored line, entry for a new one
-    transitions: list = field(default_factory=list)
+    transitions: list = field(default_factory=list)  # (lineno, raw, words) per `trans` line
 
 
 _WORD = re.compile(r"\S+")
@@ -327,16 +323,12 @@ def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        entry = _LINES.get(raw)
-        if entry is not None:
-            draft.transitions.append((lineno, raw, None, entry))
-            continue
         words = raw.split()
         if not words:
             continue
         head = words[0]
         if head == "trans":
-            draft.transitions.append((lineno, raw, words, None))
+            draft.transitions.append((lineno, raw, words))
         elif head == "automaton":
             if len(words) != 2:
                 fail(0, "expected: automaton <name>")
@@ -394,19 +386,9 @@ def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
 
     loc_ids = {name: i for i, name in enumerate(draft.locations)}
     letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
-    k = draft.registers
-    every = _shared_update(range(k))
-    transitions = []
-    for lineno, raw, words, entry in draft.transitions:
-        if (entry is None or diags or entry[0] not in loc_ids or entry[1] not in loc_ids
-                or entry[2] not in letter_ids or entry[5] >= k):
-            entry = _parse_transition(lineno, raw, words or raw.split(), loc_ids, letter_ids,
-                                      k, diags)
-            if entry is None:
-                continue
-        src, dst, sym, guard, update, _ = entry
-        transitions.append(Transition(loc_ids[src], letter_ids[sym], guard,
-                                      every if update is SET_ALL else update, loc_ids[dst]))
+    transitions = [_parse_transition(lineno, raw, words, loc_ids, letter_ids,
+                                     draft.registers, diags)
+                   for lineno, raw, words in draft.transitions]
     if diags:
         raise DslError(diags, provenance)
 
@@ -430,10 +412,10 @@ def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
 
 
 def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
-    """One `trans` line's line-table entry, stored, or None once `diags` is
-    not empty.  Its guard comes from the guard table: guard tokens never
-    span spaces, so texts with the same words tokenize alike and columns are
-    needed only for a diagnostic, worked out from the line's own text."""
+    """One `trans` line's transition, or None once `diags` is not empty.  Its
+    guard comes from the guard table: guard tokens never span spaces, so
+    texts with the same words tokenize alike and columns are needed only for
+    a diagnostic, worked out from the line's own text."""
 
     def fail(i, message):
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
@@ -472,28 +454,21 @@ def _parse_transition(lineno, raw, words, loc_ids, letter_ids, k, diags):
         if not regs:
             fail(set_at, "empty 'set' clause")
         elif regs == ["*"]:
-            update = SET_ALL
+            update = range(k)
         else:
             for i, reg in enumerate(regs, start=set_at + 1):
-                if _is_register(reg):
-                    idx = int(reg[1:])
-                    if idx >= k:
-                        fail(i, f"update register {reg} out of range")
-                    update.append(idx)
-                else:
+                if not _is_register(reg):
                     fail(i, f"bad register {reg!r} (expected r<i> or *)")
+                elif (idx := _index(reg[1:])) is None or idx >= k:
+                    fail(i, f"update register {reg} out of range")
+                else:
+                    update.append(idx)
     bad = _least_out_of_range(guard.registers, k)
     if bad is not None:
         fail(7, f"guard register out of range: r{bad}")
     if diags:
         return None
-    reads = guard.registers
-    if update is not SET_ALL:
-        update = _shared_update(update)
-        reads += tuple(update)
-    entry = (src, dst, sym, guard, update, max(reads, default=-1))
-    _remember(_LINES, raw, entry, GUARD_TABLE_CAP)
-    return entry
+    return Transition(loc_ids[src], letter_ids[sym], guard, frozenset(update), loc_ids[dst])
 
 
 def _is_register(word) -> bool:
@@ -571,6 +546,8 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
         raise error(f"bad JSON: {err.msg}", err.lineno, err.colno)
     except ValueError as err:  # an integer of more digits than int() converts
         raise error(f"malformed JSON automaton: {err}")
+    except RecursionError:  # arrays or objects nested past the interpreter's stack
+        raise error("bad JSON: nested too deeply")
     try:
         alphabet = payload["alphabet"]
         if not isinstance(alphabet, list):
@@ -620,7 +597,7 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
                 raise error(f"guard register out of range: r{bad}")
             transitions.append(Transition(
                 loc_ids[entry["source"]], letter_ids[entry["on"]],
-                guard, _shared_update(update), loc_ids[entry["target"]]))
+                guard, frozenset(update), loc_ids[entry["target"]]))
         for entry in payload["locations"]:
             for flag in ("initial", "accepting"):
                 if type(entry.get(flag, False)) is not bool:

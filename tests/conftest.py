@@ -16,8 +16,7 @@ def fig4():
 
 @pytest.fixture
 def empty_guard_table(monkeypatch):
-    """Empty process-wide guard, line and document tables for one test; the
-    old ones after it."""
+    """Empty process-wide guard and document tables for one test; the old
+    ones after it."""
     monkeypatch.setattr(dsl, "_GUARDS", {})
-    monkeypatch.setattr(dsl, "_LINES", {})
     monkeypatch.setattr(dsl, "_DOCUMENTS", {})

@@ -101,6 +101,29 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith(expected)
 
+    @pytest.mark.parametrize("name, body, expected", [
+        ("guard.ra", "trans q -> q on a when =r0 & !=r" + "9" * 5000,
+         "5:30: guard register out of range: r999"),
+        ("set.ra", "trans q -> q on a when true set r" + "9" * 5000,
+         "5:33: update register r999"),
+        ("deep.json", None, "1:1: bad JSON: nested too deeply"),
+    ], ids=["guard-digits", "set-digits", "deep-json"])
+    def test_text_past_int_or_the_stack_is_a_parse_error(self, capsys, tmp_path, name, body,
+                                                          expected):
+        """A register index of 5 000 digits, which int() refuses, and JSON
+        nested 5 000 levels deep are diagnostics with a position, not
+        tracebacks."""
+        path = tmp_path / name
+        if body is None:
+            path.write_text('{"automaton": ' + "[" * 5000 + "]" * 5000 + "}")
+        else:
+            path.write_text(f"automaton w\nregisters 1\nalphabet a\nlocation q\n{body}\n")
+        for command in ("validate", "sync-dra"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 3 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith(f"{path}:{expected}")
+            assert "Traceback" not in err
+
     @pytest.mark.parametrize("guard", [
         "!" * 3000 + "=r0",
         "(" * 3000 + "=r0" + ")" * 3000,

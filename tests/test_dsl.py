@@ -1,10 +1,12 @@
 import contextlib
 import gc
+import pathlib
 import random
+import re
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from regsync import dsl
 from regsync.dsl import (
@@ -23,7 +25,7 @@ from regsync.gadgets import (
     reduce_nonuniv_to_sync,
     reduce_sync_to_nonuniv,
 )
-from regsync.ra import TRUE, And, Eq, Not, Transition, guard_mask, validate
+from regsync.ra import TRUE, And, Eq, Not, RegisterAutomaton, Transition, guard_mask, validate
 from regsync.semantics import FRESH, abstract_run, engine_for
 from helpers import (
     automaton,
@@ -105,13 +107,13 @@ class TestAutomatonRoundTrip:
             assert parse_automaton(serialize_automaton(aut)) == aut
             assert parse_automaton(serialize_automaton(aut, "json")) == aut
 
-    def test_gadget_roundtrips_through_the_line_table(self, empty_guard_table):
-        """The second parse of each text builds every transition from the
-        line table."""
+    def test_gadget_roundtrips_past_the_document_table(self, empty_guard_table):
+        """The second parse of each text parses every line again, against a
+        guard table that already holds its guards."""
         for aut in self.gadgets():
             text = serialize_automaton(aut)
             for _ in range(2):
-                dsl._DOCUMENTS.clear()  # reach the line table, not the document table
+                dsl._DOCUMENTS.clear()  # parse the text, not a stored document
                 back = parse_automaton(text)
                 assert back == aut
                 assert all(type(t) is Transition for t in back.transitions)
@@ -407,29 +409,26 @@ def shared_line_documents(draw):
 
 
 class TestLineTable:
-    """Every document parsed in the process looks its `trans` lines up in one
-    table, and a line found there is rebuilt against the document's own
-    names and k."""
+    """Documents that share `trans` lines, and so guards from the guard
+    table, each parse every line against their own names and k."""
 
     @settings(max_examples=300, deadline=None)
     @given(shared_line_documents())
     def test_same_outcome_as_the_reference_parser(self, docs):
-        saved = dsl._LINES, dsl._GUARDS
-        dsl._LINES, dsl._GUARDS = {}, {}
+        saved = dsl._GUARDS
+        dsl._GUARDS = {}
         try:
             for text in docs:
                 assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton,
                                                                    text)
-                assert len(dsl._LINES) <= dsl.GUARD_TABLE_CAP
         finally:
-            dsl._LINES, dsl._GUARDS = saved
+            dsl._GUARDS = saved
 
     def test_stored_line_checks_the_new_k(self, empty_guard_table):
         line = "trans q -> q on a when =r0 | =r2 set r0"
         wide = f"automaton w\nregisters 3\nalphabet a\nlocation q\n{line}\n"
         narrow = f"automaton n\nregisters 1\nalphabet b a\nlocation p\nlocation q\n\n{line}\n"
         assert parse_automaton(wide) == reference_parse_automaton(wide)
-        assert line in dsl._LINES
         with pytest.raises(DslError) as err:
             parse_automaton(narrow)
         assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
@@ -441,7 +440,6 @@ class TestLineTable:
         for k in (1, 3, 2, 0):
             text = f"automaton t\nregisters {k}\nalphabet a\nlocation q\n{line}\n"
             assert parse_automaton(text).transitions[0].update == frozenset(range(k))
-        assert dsl._LINES[line][4] is dsl.SET_ALL
 
     def test_failed_line_is_not_stored(self, empty_guard_table):
         good, bad = "trans q -> q on a when =r0", "trans q -> q on a when =r0 & =rX"
@@ -451,11 +449,9 @@ class TestLineTable:
         with pytest.raises(DslError) as err:
             parse_automaton(text)
         assert len(err.value.diagnostics) == 3
-        assert list(dsl._LINES) == [good]
         with pytest.raises(DslError) as again:
             parse_automaton(text)
         assert again.value.diagnostics == err.value.diagnostics
-        assert list(dsl._LINES) == [good]
 
     def test_table_is_bounded(self, monkeypatch, empty_guard_table):
         cap = 4
@@ -464,20 +460,6 @@ class TestLineTable:
         for text in (_doc("one", 2, guards), _doc("two", 2, guards[::-1] + guards)):
             for _ in range(2):
                 assert parse_automaton(text) == reference_parse_automaton(text)
-                assert len(dsl._LINES) <= cap
-
-    def test_reparse_tokenizes_no_line(self, monkeypatch, empty_guard_table):
-        calls = []
-        parse_transition = dsl._parse_transition
-        monkeypatch.setattr(dsl, "_parse_transition",
-                            lambda *args: calls.append(args[0]) or parse_transition(*args))
-        text = serialize_automaton(gen_counter_nra(2))
-        first = parse_automaton(text)
-        assert len(calls) == len(first.transitions) > 0
-        calls.clear()
-        dsl._DOCUMENTS.clear()  # reach the line table, not the document table
-        assert parse_automaton(text) == first
-        assert calls == []
 
 
 # Documents that repeat in the document-table tests: both formats, a text
@@ -498,12 +480,12 @@ DOCUMENTS = [
 @contextlib.contextmanager
 def _empty_tables():
     """Every process-wide table empty inside the block; the old ones after it."""
-    saved = dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS
-    dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS = {}, {}, {}
+    saved = dsl._DOCUMENTS, dsl._GUARDS
+    dsl._DOCUMENTS, dsl._GUARDS = {}, {}
     try:
         yield
     finally:
-        dsl._DOCUMENTS, dsl._LINES, dsl._GUARDS = saved
+        dsl._DOCUMENTS, dsl._GUARDS = saved
 
 
 class TestDocumentTable:
@@ -565,3 +547,61 @@ class TestDocumentTable:
         again = parse_automaton(text)
         assert again.compiled is compiled
         assert "_engine" not in dsl._DOCUMENTS[text].__dict__
+
+
+# Valid documents in both formats, and the words, digit runs and spaces that
+# have made a text escape the parser as something other than a DslError:
+# numbers longer than int() converts, nesting deeper than the interpreter's
+# stack, and Unicode whitespace and digits.
+SEED_DOCUMENTS = [(pathlib.Path(__file__).parent / "data" / "fig4.ra").read_text()] + [
+    serialize_automaton(aut, fmt)
+    for aut in (gen_chain_dra(2), gen_counter_nra(2), gen_tower_nra(2))
+    for fmt in ("dsl", "json")]
+HOSTILE_WORDS = [
+    "=r" + "9" * 5000, "!" * 3000 + "=r0", "(" * 3000 + "=r0" + ")" * 3000,
+    " | ".join(["=r0"] * 3000), "[" * 5000, '{"a": ' * 3000, "\u00b2", "r\u00b2",
+    "trans", "automaton", "registers", "alphabet", "location", "initial", "accepting",
+    "->", "on", "when", "set", "*", "r0", "r7", "=r0", "true", "&", "|", "!", "(", ")",
+    "{", "}", "[", "]", '"', ":", ",", "null", "0", "-1", "1e999",
+]
+DIGIT_RUNS = ["9" * 5000, "0" * 5000 + "1", "\u0663", "\u0660\u0661", "7"]
+SPACES = [" ", "\n", "\t", "\u2003", "\u00a0", "\u2028", "\x85", "\x0b", "\x1c"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A seed document with a few words inserted or replaced, or their
+    digits replaced, and perhaps cut short."""
+    pieces = re.split(r"(\s+)", draw(st.sampled_from(SEED_DOCUMENTS)))  # words at even places
+    words = st.sampled_from(HOSTILE_WORDS) | st.text(max_size=6)
+    for _ in range(draw(st.integers(1, 3))):
+        at = 2 * draw(st.integers(0, len(pieces) // 2))
+        edit = draw(st.sampled_from(["insert", "replace", "digits"]))
+        if edit == "insert":
+            pieces[at:at] = [draw(words), draw(st.sampled_from(SPACES))]
+        elif edit == "replace":
+            pieces[at] = draw(words)
+        else:  # in a word that has digits
+            at = draw(st.sampled_from([i for i in range(0, len(pieces), 2)
+                                       if re.search(r"\d", pieces[i])] or [at]))
+            pieces[at] = re.sub(r"\d+", draw(st.sampled_from(DIGIT_RUNS)), pieces[at])
+    text = "".join(pieces)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestEveryText:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    @example(_doc("w", 1, ["=r" + "9" * 5000]))
+    @example(_doc("w", 1, ["true set r" + "9" * 5000]))
+    @example('{"automaton": ' + "[" * 5000 + "]" * 5000 + "}")
+    def test_parses_or_raises_dsl_error(self, text):
+        try:
+            aut = parse_automaton(text)
+        except DslError as err:
+            assert err.diagnostics
+            assert all(d.line >= 1 and d.column >= 1 for d in err.diagnostics)
+        else:
+            assert isinstance(aut, RegisterAutomaton)
