@@ -12,9 +12,11 @@ word, or the outcome type with its witness, or the exception type with
 (`explored`, `queued`, `pruned`) count work, not answers, so by default they
 are not compared: a change to a search's pruning moves them by design.
 `--same-stats explored,pruned` compares the listed statistics too, for a
-change that claims not to move them.  Prints the number of differing
-verdicts and the seconds per query kind in each checkout, and exits 1 on
-any difference.
+change that claims not to move them.  Each differing query falls in one
+class: newly decided (only this checkout decided it), newly undecided
+(only the other did) or changed answer (both or neither did).  Prints the
+number of differing verdicts, their count per class and the seconds per
+query kind in each checkout, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ import json
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 # Outcome fields that count work rather than state the answer.
 STATISTICS = ("explored", "queued", "pruned")
+CLASSES = ("newly decided", "newly undecided", "changed answer")
 
 
 def _result(result, same_stats=()):
@@ -56,9 +59,16 @@ def _statistics(text: str) -> tuple:
     return names
 
 
+def _class(this_decided: bool, other_decided: bool) -> str:
+    """The class of a differing verdict, from whether each checkout decided it."""
+    if this_decided != other_decided:
+        return CLASSES[0] if this_decided else CLASSES[1]
+    return CLASSES[2]
+
+
 def _worker(checkout: Path, workload: str, seed: int, limit, same_stats) -> None:
     """Run the queries in `checkout` and write one JSON line per query:
-    [index, kind, sha256 of its text, seconds, verdict signature]."""
+    [index, kind, sha256 of its text, seconds, decided, verdict signature]."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import client
     import inputs
@@ -68,12 +78,15 @@ def _worker(checkout: Path, workload: str, seed: int, limit, same_stats) -> None
         start = time.perf_counter()
         try:
             verdict = client.execute(query)
-            signature = (verdict.decided, _result(verdict.result, same_stats), verdict.dra1)
-        except Exception as err:  # a crash is a verdict too
+            decided = verdict.decided
+            signature = (decided, _result(verdict.result, same_stats), verdict.dra1)
+        except Exception as err:  # a crash is a verdict too, and an undecided one
+            decided = False
             signature = ("error", type(err).__name__, str(err))
         seconds = time.perf_counter() - start
         digest = hashlib.sha256(query.text.encode()).hexdigest()
-        print(json.dumps([i, query.kind, digest, seconds, repr(signature)]), flush=True)
+        print(json.dumps([i, query.kind, digest, seconds, decided, repr(signature)]),
+              flush=True)
 
 
 def _run(checkout: Path, args) -> list:
@@ -110,10 +123,13 @@ def main(argv=None) -> int:
     if len(mine) != len(theirs) or any(a[2] != b[2] for a, b in zip(mine, theirs)):
         print("the two checkouts generate different queries")
         return 1
-    differing = [a for a, b in zip(mine, theirs) if a[4] != b[4]]
-    for i, kind, _, _, signature in differing[:10]:
-        other_signature = theirs[i][4]
-        print(f"query {i} ({kind}):\n  this:  {signature}\n  other: {other_signature}")
+    differing = [(a, b) for a, b in zip(mine, theirs) if a[5] != b[5]]
+    classes = Counter()
+    for n, ((i, kind, _, _, decided, signature), other) in enumerate(differing):
+        cls = _class(decided, other[4])
+        classes[cls] += 1
+        if n < 10:
+            print(f"query {i} ({kind}, {cls}):\n  this:  {signature}\n  other: {other[5]}")
     seconds = defaultdict(lambda: [0, 0.0, 0.0])
     for a, b in zip(mine, theirs):
         cell = seconds[a[1]]
@@ -122,6 +138,7 @@ def main(argv=None) -> int:
         cell[2] += b[3]
     print(f"{args.workload} seed {args.seed}: {len(mine)} queries, "
           f"{len(differing)} differing verdict(s)")
+    print(", ".join(f"{cls}: {classes[cls]}" for cls in CLASSES))
     print(f"{'kind':<14}{'queries':>8}{'this s':>10}{'other s':>10}")
     for kind, (count, this_s, other_s) in sorted(seconds.items()):
         print(f"{kind:<14}{count:>8}{this_s:>10.2f}{other_s:>10.2f}")

@@ -5,15 +5,17 @@ updated through transitions firable while the input is fresh", which is
 necessary for synchronization; (2) a shrink phase collapsing the infinite
 initial set L x D^k to a finite residual over at most k data, certified by
 the abstract semantics: each round cleans one location's dirty
-configurations with the breadth-first search over abstract sets that
-length-bounded NRA search also runs (`semantics._search_bfs`), under one
-node budget for all rounds; (3) iterated pairwise merging over a canonical
-2k+1-datum pool, sound because any mergeable pair is mergeable within such a
-pool.  A pair holds at most 2k data and every datum it does not hold acts
-alike, so the pair graph is unchanged by any bijection of the pool: each
-merge is a breadth-first search over pairs up to that bijection, under a
-per-call node budget.  Also houses the classical DFA pairwise algorithm and
-the 1-register decision procedure via the DFA reduction over a 3-datum pool.
+configurations with the subsumption-pruned breadth-first search over
+interned masks that the bounded NRA searches also run
+(`semantics._search_bfs`), under one node budget for all rounds, then
+replays the whole abstract set along the word found; (3) iterated pairwise
+merging over a canonical 2k+1-datum pool, sound because any mergeable pair
+is mergeable within such a pool.  A pair holds at most 2k data and every
+datum it does not hold acts alike, so the pair graph is unchanged by any
+bijection of the pool: each merge is a breadth-first search over pairs up
+to that bijection, under a per-call node budget.  Also houses the classical
+DFA pairwise algorithm and the 1-register decision procedure via the DFA
+reduction over a 3-datum pool.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete, is_deterministic
 from .semantics import (
-    AbstractConfigSet,
     Engine,
     _Budget,
     _Exhausted,
@@ -119,14 +120,6 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
     return out
 
 
-def _dirty(config) -> bool:
-    return any(v < 0 for v in config[1])
-
-
-def _clean(aset: AbstractConfigSet) -> bool:
-    return not any(_dirty(c) for c in aset.configs)
-
-
 def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     """A data word with at most k distinct data whose abstract post from
     L x D^k contains no symbolic value, or NotShrinkable(location).
@@ -136,12 +129,15 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     for an extension (drawing on at most k data overall) that cleans every
     descendant of that location's dirty configurations; determinism makes
     the extensions compose.  The abstract post maps each configuration on
-    its own, so those dirty configurations alone are the search state
-    (`semantics._search_bfs` with no length bound), and the whole set is
-    then replayed along the extension found.  Exhausting the finite
-    extension space proves no shrink word exists.  One node budget spans
-    all rounds; spending more than `max_nodes` (None: REGSYNC_MAX_NODES or
-    1e6) raises InconclusiveError.
+    its own, so those dirty configurations alone are the search state: each
+    round runs the pruned mask search of the bounded NRA searches
+    (`semantics._search_bfs`, no length bound) from their interned mask,
+    and "clean" is closed under subsets, so the pruning is exact.  The
+    whole set is then replayed along the extension found, one
+    `Engine.abstract_post` per move.  Exhausting the finite extension space
+    proves no shrink word exists.  One node budget spans all rounds;
+    spending more than `max_nodes` (None: REGSYNC_MAX_NODES or 1e6) raises
+    InconclusiveError.
     """
     budget = _Budget(max_nodes)
     _require_dra(aut)
@@ -153,22 +149,21 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
             return NotShrinkable(loc)
     current = eng.abstract_initial()
 
-    def step(aset, m, letter, choice):
-        return eng.abstract_post(aset, letter, choice)
+    def clean(mask: int) -> bool:
+        return not mask & eng.dirty_mask
 
     choices = []
     # Every round ticks the budget at least once, so the loop terminates
     # even if partial cleans keep re-dirtying locations (worst case it ends
     # in InconclusiveError rather than spinning).
     while True:
-        dirty = [c for c in current.configs if _dirty(c)]
+        dirty = [c for c in current.configs if any(v < 0 for v in c[1])]
         if not dirty:
             break
         loc0 = dirty[0][0]  # configs are in tuple order: the least location
-        m = current.word_data_count
-        sub = AbstractConfigSet(tuple(c for c in dirty if c[0] == loc0), m)
+        root = eng.mask_root(c for c in dirty if c[0] == loc0)
         try:
-            path = _search_bfs(step, eng.n_letters, sub, m, _clean, None, k, budget)
+            path = _search_bfs(eng, root, current.word_data_count, clean, None, k, budget)
         except _Exhausted:
             raise InconclusiveError(f"shrink search exceeded {budget.limit} nodes",
                                     budget.spent, "shrink") from None
@@ -177,7 +172,8 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
             # cleans this location, hence no shrink word and no sync word.
             return NotShrinkable(loc0)
         choices.extend(path)
-        current = eng.abstract_run(path, start=current)
+        for letter, choice in path:
+            current = eng.abstract_post(current, letter, choice)
     word = instantiate_choice_word(tuple(choices), range(k))
     residual = frozenset((loc, values) for loc, values in current.configs)
     return ShrinkResult(word, residual)

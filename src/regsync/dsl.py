@@ -188,10 +188,13 @@ class _GuardParser:
 
 def _index(digits: str) -> Optional[int]:
     """The number a run of decimal digits spells, or None if, leading zeros
-    aside, it has more digits than int() converts: a register index past
-    every register count."""
+    of any script aside, it has more digits than int() converts: a register
+    index or count past every cap."""
+    start = 0
+    while start < len(digits) and int(digits[start]) == 0:  # a zero of any script
+        start += 1
     try:
-        return int(digits.lstrip("0") or "0")
+        return int(digits[start:] or "0")
     except ValueError:  # the digit limit, the one error a digit run can raise
         return None
 
@@ -338,16 +341,11 @@ def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
             if len(words) != 2 or not words[1].isdecimal():
                 fail(0, "expected: registers <k>")
             else:
-                # Checked before int(), which refuses thousands of digits: a count
-                # with more digits than the cap is over it.
-                count = words[1].lstrip("0") or "0"
-                if len(count) > len(str(REGISTER_ENUMERATION_CAP)):
-                    draft.registers = REGISTER_ENUMERATION_CAP + 1
-                else:
-                    draft.registers = int(count)
+                count = _index(words[1])  # None: more digits than int() converts
+                draft.registers = REGISTER_ENUMERATION_CAP + 1 if count is None else count
                 if draft.registers > REGISTER_ENUMERATION_CAP:
-                    fail(1, f"register count {count} exceeds the cap "
-                            f"{REGISTER_ENUMERATION_CAP}")
+                    fail(1, f"register count {words[1] if count is None else count} "
+                            f"exceeds the cap {REGISTER_ENUMERATION_CAP}")
         elif head == "alphabet":
             draft.alphabet = words[1:]
         elif head == "location":
@@ -578,10 +576,12 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
             if regs == ["*"]:
                 update = range(k)
             elif isinstance(regs, list) and all(map(_is_register, regs)):
-                update = {int(reg[1:]) for reg in regs}
+                update = set()
                 for reg in regs:
-                    if int(reg[1:]) >= k:
+                    idx = _index(reg[1:])
+                    if idx is None or idx >= k:
                         raise error(f"update register {reg} out of range")
+                    update.add(idx)
             else:
                 raise error(f'bad set {regs!r} (expected a list of r<i>, or ["*"])')
             when = entry["when"]

@@ -95,8 +95,7 @@ def _search(eng: Engine, configs, goal, budget: SearchBudget, empty_word: bool):
     root = eng.mask_root(configs)
     try:
         path = () if empty_word and goal(root) else _search_bfs(
-            eng.mask_post, eng.n_letters, root, 0, goal, budget.max_length,
-            budget.max_distinct_data, tick, prune=True)
+            eng, root, 0, goal, budget.max_length, budget.max_distinct_data, tick)
     except _Exhausted:
         return BudgetExhausted(tick.spent, tick.queued, tick.pruned)
     if path is None:

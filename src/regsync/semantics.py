@@ -14,22 +14,23 @@ it plus one branch per block that does -- the only point where the unknown
 initial data interact with the word.
 
 An Engine keeps two memos of per-configuration successors, both capped at
-SUCCESSOR_MEMO_CAP entries and cleared whenever they pass it.  The tuple
-memo serves `abstract_post` (single-path walks such as `abstract_run`, and
-the DRA shrink), whose sets are sorted tuples of configurations.  The mask
-memo serves the bounded NRA searches, whose sets are int bitmasks over
-configurations the Engine interns as small ids: a step ORs memoized
-successor masks, and dedup hashes one int.  Ids outlive the mask memo; the
-intern table is cleared only at the root of a search, once it holds more
-than SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.
-Concrete sets (membership, the DRA merge replay) step through `post_set`,
-which keeps no memo.
+SUCCESSOR_MEMO_CAP entries and cleared whenever they pass it.  The mask
+memo serves every search: sets are int bitmasks over configurations the
+Engine interns as small ids, a step ORs memoized successor masks, and
+dedup hashes one int.  Ids outlive the mask memo; the intern table is
+cleared only at the root of a search, once it holds more than
+SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.  The
+tuple memo serves `abstract_post` on sorted tuples of configurations, for
+single walks only: `abstract_run` (the `run` query and the DRA word's final
+check) and the DRA shrink's replay of each word it found.  Concrete sets
+(membership, the DRA merge replay) step through `post_set`, which keeps no
+memo.
 
-`_search_bfs`, the one breadth-first search over abstract sets, prunes mask
-sets by subsumption for the NRA searches (the antichain idea of De Wulf,
-Doyen, Henzinger and Raskin, CAV 2006), and on their last layer, which is
-never expanded, lets `mask_post` stop once its partial successor fails the
-goal; the DRA shrink's tuple sets are not pruned.
+`_search_bfs` is the one breadth-first search over abstract sets, for the
+bounded NRA searches and the DRA shrink alike.  It prunes masks by
+subsumption (the antichain idea of De Wulf, Doyen, Henzinger and Raskin,
+CAV 2006), and on a length-bounded search's last layer, which is never
+expanded, lets `mask_post` stop once its partial successor fails the goal.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ class Engine:
                         out.add((target, vals))
         return tuple(out)
 
-    def abstract_run(self, cword, start: Optional[AbstractConfigSet] = None) -> AbstractConfigSet:
-        aset = self.abstract_initial() if start is None else start
+    def abstract_run(self, cword) -> AbstractConfigSet:
+        aset = self.abstract_initial()
         for letter, choice in cword:
             aset = self.abstract_post(aset, letter, choice)
         return aset
@@ -467,54 +468,45 @@ def _subsumed(buckets: dict, mask: int) -> bool:
     return False
 
 
-def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
+def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
                 max_length: Optional[int], max_data: Optional[int],
-                budget: _Budget, prune: bool = False) -> Optional[list]:
+                budget: _Budget) -> Optional[list]:
     """The lexicographically least shortest nonempty move path from `root`,
-    a set holding `data` word data, to a set satisfying `goal`, of at most
-    `max_length` moves and `max_data` word data (None: unbounded), or None
-    when there is none.
+    a mask of `eng`'s interned ids holding `data` word data, to a mask
+    satisfying `goal`, of at most `max_length` moves and `max_data` word
+    data (None: unbounded), or None when there is none.
 
-    `step(s, m, letter, choice)` is the successor of set `s` holding m word
-    data, in any hashable representation of sets.  Moves are expanded in
-    (letter, choice) order, first in first out, and each (set, word data)
-    node enters the dedup table once (counted in `budget.queued`); every
-    expanded move ticks `budget`, and the search raises _Exhausted once the
-    budget is spent.
+    Each step is `eng.mask_post`.  Moves are expanded in (letter, choice)
+    order, first in first out, and each (mask, word data) node enters the
+    dedup table once (counted in `budget.queued`); every expanded move ticks
+    `budget`, and the search raises _Exhausted once the budget is spent.
 
-    With `prune`, sets are int bitmasks, and a new node that fails `goal`
-    is dropped (counted in `budget.pruned`) when the search already kept a
-    node with the same word data count whose set is a subset of its set.
-    This is exact when `step` is monotone under inclusion and `goal` is
-    closed under nonempty subsets: the kept node was found no later in
-    breadth-first order, so every path from the dropped one has a path
-    from the kept one that is no longer and no greater.  Nodes at depth
-    `max_length` are never expanded, so with `prune` the last layer's
-    moves call `step(s, m, letter, choice, goal)`, which may stop at a
-    nonempty partial set that fails `goal`; such a node is dropped
-    without entering the dedup table, and only a witness enters it.
+    A new node that fails `goal` is dropped (counted in `budget.pruned`)
+    when the search already kept a node with the same word data count whose
+    mask is a subset of its mask.  `mask_post` is monotone under inclusion,
+    and `goal` must be closed under nonempty subsets, so this is exact: the
+    kept node was found no later in breadth-first order, so every path from
+    the dropped one has a path from the kept one that is no longer and no
+    greater.  Nodes at depth `max_length` are never expanded, so the last
+    layer's moves pass `goal` to `mask_post`, which may stop at a nonempty
+    partial mask that fails `goal`; such a node is dropped without entering
+    the dedup table, and only a witness enters it.
     """
     start = (root, data)
     parents = {start: None}
     budget.queued += 1
-    kept = {}  # word data count -> {lowest bit: kept masks}, with `prune`
-    if prune:
-        kept[data] = {root & -root: [root]}
+    kept = {data: {root & -root: [root]}}  # word data count -> {lowest bit: kept masks}
     queue = deque([(start, 0)] if max_length is None or max_length > 0 else ())
     while queue:
         node, depth = queue.popleft()
         last = max_length is not None and depth + 1 >= max_length
-        directed = prune and last
         s, m = node
-        for letter, choice in _moves(n_letters, m, max_data):
+        for letter, choice in _moves(eng.n_letters, m, max_data):
             if not budget.tick():
                 raise _Exhausted
-            if directed:
-                nxt = step(s, m, letter, choice, goal)
-                if not goal(nxt):
-                    continue  # a last-layer set that is no witness is not stored
-            else:
-                nxt = step(s, m, letter, choice)
+            nxt = eng.mask_post(s, m, letter, choice, goal if last else None)
+            if last and not goal(nxt):
+                continue  # a last-layer mask that is no witness is not stored
             key = (nxt, m + 1 if choice == FRESH else m)
             if key in parents:
                 continue
@@ -524,12 +516,11 @@ def _search_bfs(step: Callable, n_letters: int, root, data: int, goal: Callable,
                 return bfs_path(parents, key)[1]
             if last:
                 continue
-            if prune:
-                buckets = kept.setdefault(key[1], {})
-                if _subsumed(buckets, nxt):
-                    budget.pruned += 1
-                    continue
-                buckets.setdefault(nxt & -nxt, []).append(nxt)
+            buckets = kept.setdefault(key[1], {})
+            if _subsumed(buckets, nxt):
+                budget.pruned += 1
+                continue
+            buckets.setdefault(nxt & -nxt, []).append(nxt)
             queue.append((key, depth + 1))
     return None
 

@@ -303,7 +303,9 @@ def reference_accepts(aut, word) -> bool:
     acc = aut.acceptance
     root = AbstractConfigSet(tuple(c for c in eng.abstract_initial().configs
                                    if c[0] == acc.initial), 0)
-    aset = eng.abstract_run(choice_of_word(word), start=root)
+    aset = root
+    for letter, choice in choice_of_word(word):
+        aset = eng.abstract_post(aset, letter, choice)
     return any(loc in acc.accepting for loc, _ in aset.configs)
 
 
@@ -322,6 +324,10 @@ def outcome_signature(out):
     return (type(out).__name__, getattr(out, "choice_word", None), out.explored, out.queued)
 
 
+def _dirty(config) -> bool:
+    return any(v < 0 for v in config[1])
+
+
 def pair_state_shrink(aut, max_nodes=1_000_000):
     """Reference for dra.shrink_word: (result, nodes spent).  Each round is a
     breadth-first search over pairs (whole abstract set, dirty sub-set),
@@ -338,12 +344,12 @@ def pair_state_shrink(aut, max_nodes=1_000_000):
     choices = []
     explored = 0
     while True:
-        dirty_locs = sorted({c[0] for c in current.configs if dra._dirty(c)})
+        dirty_locs = sorted({c[0] for c in current.configs if _dirty(c)})
         if not dirty_locs:
             break
         loc0 = dirty_locs[0]
         sub = AbstractConfigSet(
-            tuple(c for c in current.configs if c[0] == loc0 and dra._dirty(c)),
+            tuple(c for c in current.configs if c[0] == loc0 and _dirty(c)),
             current.word_data_count)
         found = None
         start = (current, sub)
@@ -352,7 +358,7 @@ def pair_state_shrink(aut, max_nodes=1_000_000):
         while queue:
             state = queue.popleft()
             aset, asub = state
-            if not any(dra._dirty(c) for c in asub.configs):
+            if not any(_dirty(c) for c in asub.configs):
                 found = state
                 break
             moves = list(range(aset.word_data_count))

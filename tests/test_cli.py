@@ -101,6 +101,17 @@ class TestExitCodes:
             assert code == 3 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith(expected)
 
+    def test_register_count_of_arabic_indic_digits_over_the_cap(self, capsys, tmp_path):
+        """5 000 Arabic-Indic threes, which int() refuses, are over the cap:
+        a diagnostic with a position, not a traceback."""
+        count = "\u0663" * 5000
+        path = tmp_path / "arabic.ra"
+        path.write_text(f"automaton w\nregisters {count}\nalphabet a\nlocation q\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"{path}:2:11: register count {count} exceeds the cap 6"]
+
     @pytest.mark.parametrize("name, body, expected", [
         ("guard.ra", "trans q -> q on a when =r0 & !=r" + "9" * 5000,
          "5:30: guard register out of range: r999"),
@@ -215,6 +226,7 @@ class TestJsonMirror:
         ({"set": "r0"}, "bad set 'r0'"),
         ({"transitions": [1]}, "malformed JSON automaton"),
         ({"set": ["r5"]}, "update register r5 out of range"),
+        ({"set": ["r" + "9" * 5000]}, f"update register r{'9' * 5000} out of range"),
         ({"when": "=r4"}, "guard register out of range: r4"),
         ({"automaton": ["x"]}, "automaton name must be a string, not ['x']"),
         ({"location": 7}, "location name must be a string, not 7"),
@@ -230,7 +242,7 @@ class TestJsonMirror:
         ({"automaton": "my chain"}, "automaton name 'my chain' must be one word"),
         ({"when": 5}, "guard must be a string, not 5"),
     ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
-            "entry", "set-range", "guard-range", "automaton-name", "location-name",
+            "entry", "set-range", "set-digits", "guard-range", "automaton-name", "location-name",
             "letter", "alphabet-string", "alphabet-dict", "duplicate-location",
             "duplicate-letter", "initial-string", "accepting-int", "empty-location",
             "spaced-letter", "spaced-automaton", "guard-not-string"])

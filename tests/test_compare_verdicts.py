@@ -7,8 +7,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_verdicts.py"
 
 
-def compare(other, limit=4, *extra):
-    return subprocess.run([sys.executable, str(SCRIPT), str(other), "--workload", "decide",
+def compare(other, limit=4, *extra, script=SCRIPT):
+    return subprocess.run([sys.executable, str(script), str(other), "--workload", "decide",
                            "--seed", "1", "--limit", str(limit), *extra],
                           capture_output=True, text=True, timeout=300)
 
@@ -17,6 +17,7 @@ def test_checkout_agrees_with_itself():
     done = compare(ROOT)
     assert done.returncode == 0, done.stderr
     assert "decide seed 1: 4 queries, 0 differing verdict(s)" in done.stdout
+    assert "newly decided: 0, newly undecided: 0, changed answer: 0" in done.stdout
 
 
 def patched_checkout(tmp_path, patch):
@@ -36,6 +37,36 @@ def test_a_differing_verdict_fails(tmp_path):
     done = compare(tmp_path, limit=2)
     assert done.returncode == 1, done.stderr
     assert "2 differing verdict(s)" in done.stdout
+    assert "newly decided: 2, newly undecided: 0, changed answer: 0" in done.stdout
+
+
+def numbered_patch(undecided=(), changed=()):
+    """A client patch that makes the n-th query's verdict undecided for n in
+    `undecided`, and gives it another answer for n in `changed`."""
+    return ("\n_execute = execute\n_calls = []\n\n\ndef execute(query):\n"
+            "    verdict = _execute(query)\n"
+            "    _calls.append(query)\n"
+            f"    if len(_calls) in {undecided!r}:\n"
+            "        return Verdict(False, verdict.result, verdict.dra1)\n"
+            f"    if len(_calls) in {changed!r}:\n"
+            "        return Verdict(verdict.decided, 'another answer', verdict.dra1)\n"
+            "    return verdict\n")
+
+
+def test_each_difference_is_counted_in_its_class(tmp_path):
+    # the first four queries are decided in an unpatched checkout
+    this = patched_checkout(tmp_path / "this", numbered_patch(undecided=(1,)))
+    shutil.copytree(ROOT / "scripts", this / "scripts",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    other = patched_checkout(tmp_path / "other", numbered_patch(undecided=(2,), changed=(3,)))
+    done = compare(other, 4, script=this / "scripts" / "compare_verdicts.py")
+    assert done.returncode == 1, done.stderr
+    assert "decide seed 1: 4 queries, 3 differing verdict(s)" in done.stdout
+    assert "newly decided: 1, newly undecided: 1, changed answer: 1" in done.stdout
+    assert "query 0 (sync-bounded, newly undecided):" in done.stdout
+    assert "query 1 (sync-dra, newly decided):" in done.stdout
+    assert "query 2 (sync-dra, changed answer):" in done.stdout
+    assert "query 3" not in done.stdout
 
 
 def stats_patched_checkout(tmp_path, **changes):

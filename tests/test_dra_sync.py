@@ -1,3 +1,4 @@
+import pathlib
 import random
 from collections import Counter
 
@@ -34,6 +35,8 @@ from helpers import (
     random_complete_automaton,
     reference_orbit_key,
 )
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # A 2-register DRA whose shrink needs 2 nodes and whose two merges reach 9
 # and 8 orbits: a budget of 9 is enough per merge call, not for their sum.
@@ -153,12 +156,35 @@ class TestShrink:
                 if isinstance(result, ShrinkResult):
                     aset = abstract_run(aut, choice_of_word(result.word))
                     assert all(v >= 0 for _, vals in aset.configs for v in vals)
+                # The reference reaches the same answer, NotShrinkable included,
+                # with ten times the budget.
+                assert pair_state_shrink(aut, 10 * budget)[0] == result
                 continue
             # The same answer, and within the reference's budget.
             assert shrink_word(aut, spent) == expected
             outcomes[type(expected).__name__, spent > 0] += 1
         assert outcomes["ShrinkResult", True] > 35 and outcomes["NotShrinkable", True] > 0
         assert outcomes["NotShrinkable", False] > 0 and outcomes["newly decided"] > 0
+
+
+class TestPrunedShrink:
+    """Decide seed 1's query 1088: the pruned shrink search decides it within
+    the benchmark's 1 000-node budget, which the unpruned search ran out of."""
+
+    @pytest.fixture(scope="class")
+    def aut(self):
+        return parse_automaton((DATA / "shrink_pruned.ra").read_text())
+
+    def test_same_shrink_as_the_reference(self, aut):
+        result = shrink_word(aut, 1000)
+        assert isinstance(result, ShrinkResult)
+        assert result == pair_state_shrink(aut, 100_000)[0]
+        with pytest.raises(InconclusiveError):
+            pair_state_shrink(aut, 1000)
+
+    def test_word_synchronizes(self, aut):
+        word = synchronizing_word_dra(aut, 1000)
+        assert word is not None and oracle_is_synchronizing(aut, word)
 
 
 class TestPairwiseMerge:

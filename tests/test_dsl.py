@@ -299,6 +299,16 @@ class TestAgainstReferenceParser:
             (5, col, message), (6, col + 3, message), (7, col, message)]
         assert _outcome(parse_automaton, text) == _outcome(reference_parse_automaton, text)
 
+    @pytest.mark.parametrize("zeros", [1, 5000])
+    def test_register_count_with_non_ascii_leading_zeros(self, zeros):
+        """Leading zeros of any script are stripped, as int() does: Arabic-Indic
+        zeros then 3 count three registers, however many zeros there are."""
+        text = _doc("w", "\u0660" * zeros + "\u0663", ["true set r\u0660\u0662"])
+        aut = parse_automaton(text)
+        assert aut.registers == 3 and aut.transitions[0].update == {2}
+        if zeros == 1:
+            assert aut == reference_parse_automaton(text)
+
 
 def _doc(name, k, guards):
     lines = [f"automaton {name}", f"registers {k}", "alphabet a", "location q"]
