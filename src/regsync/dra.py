@@ -35,6 +35,7 @@ from .semantics import (
     engine_for,
     instantiate_choice_word,
     is_synchronized,
+    submask_unions,
 )
 
 
@@ -66,15 +67,6 @@ def _require_dra(aut: RegisterAutomaton) -> None:
         raise StructuralError("automaton is not complete")
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def inequality_update_check(aut: RegisterAutomaton) -> list:
     """Per location: can a path of transitions firable with the input fresh
     (all atoms false) cumulatively update every register?"""
@@ -92,6 +84,10 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
     """
     k = aut.registers
     full = (1 << k) - 1
+    # down[up]: the mask of the assignments a transition may be fired under
+    # once the registers in up were updated; sigma = 0 alone when not
+    # generalized
+    down = submask_unions(k) if generalized else (1,) * (1 << k)
     edges = [[(mask, sum(1 << r for r in update), target)
               for cell in row for mask, update, target in cell]
              for row in aut.compiled.table]
@@ -103,11 +99,7 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
         while queue and not ok:
             loc, up = queue.popleft()
             for gm, upm, target in edges[loc]:
-                if generalized:
-                    usable = any(gm >> s & 1 for s in _submasks(up))
-                else:
-                    usable = bool(gm & 1)
-                if not usable:
+                if not gm & down[up]:
                     continue
                 state = (target, up | upm)
                 if state[1] == full:

@@ -36,13 +36,14 @@ from .semantics import (
     Engine,
     _Budget,
     _Exhausted,
-    _partitions,
     _search_bfs,
     bfs_path,
     check_letters,
     choice_of_word,
     engine_for,
+    initial_valuations,
     instantiate_choice_word,
+    sym,
 )
 
 
@@ -189,7 +190,10 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     acc = aut.acceptance
     tick = _Budget(max_nodes)
 
-    roots = [(acc.initial, rgs) for rgs in _partitions(aut.registers)]  # pairwise distinct
+    # One root per equality pattern, each block b read as the natural b, in
+    # restricted-growth order: the reverse of the sorted block tuples.
+    roots = [(acc.initial, tuple(map(sym, values)))
+             for values in reversed(initial_valuations(aut.registers))]
     parents = dict.fromkeys(roots)
     runs = {root: (root[1], len(set(root[1])), 0) for root in roots}
 

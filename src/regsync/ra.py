@@ -266,8 +266,9 @@ def validate(aut: RegisterAutomaton) -> list:
             diags.append(Diagnostic(
                 "guard-register-range",
                 f"transition {i}: guard register out of range: {bad}"))
-        bad = [r for r in t.update if not 0 <= r < aut.registers]
-        if bad:
+        update = t.update
+        if update and (min(update) < 0 or max(update) >= aut.registers):
+            bad = [r for r in update if not 0 <= r < aut.registers]
             diags.append(Diagnostic(
                 "update-register-range",
                 f"transition {i}: update register out of range: {sorted(bad)}"))

@@ -13,6 +13,19 @@ fresh datum splits each configuration into the branch where no block equals
 it plus one branch per block that does -- the only point where the unknown
 initial data interact with the word.
 
+The automaton-free half of that step lives in three process-wide tables,
+filled on first use: the split table maps (values, fresh input) to the
+branches above with each branch's input equalities, the write table maps
+(values, update, input) to the canonical values after the update writes the
+input, storing each distinct result once, and the initial-valuation table
+maps k to the sorted canonical block tuples of every partition of range(k).
+They hold tuples of ints and frozensets of registers, no automaton data,
+which is why they may be shared when Engines are not.  The split and write
+tables are emptied wholesale once they hold KERNEL_TABLE_CAP entries; the
+initial valuations (and `submask_unions`, for the DRA reachability check)
+keep one entry per k <= ra.REGISTER_ENUMERATION_CAP.  A seen input's
+equalities are computed in place, since a lookup measured no cheaper.
+
 An Engine keeps two memos of per-configuration successors, both capped at
 SUCCESSOR_MEMO_CAP entries and cleared whenever they pass it.  The mask
 memo serves every search: sets are int bitmasks over configurations the
@@ -46,6 +59,9 @@ FRESH = -1
 
 # Entries an Engine's successor memo may hold before it is cleared.
 SUCCESSOR_MEMO_CAP = 100_000
+# Entries the process-wide split table and write table may each hold before
+# it is emptied.
+KERNEL_TABLE_CAP = 1 << 15
 
 
 def sym(block: int) -> int:
@@ -156,6 +172,78 @@ def _partitions(k: int):
 
 
 # ---------------------------------------------------------------------------
+# The automaton-free half of the abstract step: process-wide tables (see the
+# module docstring) that every Engine reads.
+
+_SPLITS: dict = {}  # (values, fresh input) -> ((variant values, sigma), ...)
+_WRITES: dict = {}  # (values, update, inp) -> canonical values after the write
+_WRITTEN: dict = {}  # each distinct value of _WRITES -> itself, stored once
+_INITIAL_VALUATIONS: dict = {}  # k -> sorted canonical block tuples
+_SUBMASK_UNIONS: dict = {}  # k -> per register set, the mask of its subsets
+
+
+def _fresh_split(values: tuple, inp: int) -> tuple:
+    """The split table's entry for canonical `values` on the fresh input
+    `inp`, filled now: (variant values, sigma) pairs, sigma being the mask
+    of registers equal to the input.  Branch (a): the fresh datum differs
+    from every block and word datum, so it equals no register.  Branches
+    (b): it resolves exactly one block b to Word(inp) and equals the
+    registers b held; the later blocks move up one, which keeps each
+    variant canonical."""
+    blocks = {}
+    for j, v in enumerate(values):
+        if v < 0:
+            blocks[v] = blocks.get(v, 0) | 1 << j
+    variants = ((values, 0), *((tuple(inp if v == b else v + 1 if v < b else v
+                                      for v in values), sigma)
+                               for b, sigma in blocks.items()))
+    if len(_SPLITS) >= KERNEL_TABLE_CAP:
+        _SPLITS.clear()
+    _SPLITS[values, inp] = variants
+    return variants
+
+
+def _write(key: tuple) -> tuple:
+    """The write table's entry for `key` = (values, update, inp), filled
+    now: the canonical values after `update` writes `inp`."""
+    values, update, inp = key
+    nv = list(values)
+    for r in update:
+        nv[r] = inp
+    nv = _canon_values(nv)
+    if len(_WRITES) >= KERNEL_TABLE_CAP:
+        _WRITES.clear()
+        _WRITTEN.clear()
+    nv = _WRITES[key] = _WRITTEN.setdefault(nv, nv)
+    return nv
+
+
+def initial_valuations(k: int) -> tuple:
+    """The sorted canonical block tuples of every partition of range(k): the
+    abstract initial valuations, one per equality pattern of k registers."""
+    valuations = _INITIAL_VALUATIONS.get(k)
+    if valuations is None:
+        valuations = _INITIAL_VALUATIONS[k] = tuple(sorted(
+            tuple(map(sym, rgs)) for rgs in _partitions(k)))
+    return valuations
+
+
+def submask_unions(k: int) -> tuple:
+    """Entry `up` < 2**k is the mask with bit s set for each submask s of
+    `up`: `gm & submask_unions(k)[up]` tests whether guard mask gm holds
+    under some assignment touching only registers in `up`."""
+    unions = _SUBMASK_UNIONS.get(k)
+    if unions is None:
+        rows = [1]
+        for up in range(1, 1 << k):
+            # the submasks of up without its lowest bit, each with and without it
+            below = rows[up & (up - 1)]
+            rows.append(below | below << (up & -up))
+        unions = _SUBMASK_UNIONS[k] = tuple(rows)
+    return unions
+
+
+# ---------------------------------------------------------------------------
 # Compiled engine
 
 
@@ -242,11 +330,9 @@ class Engine:
     # -- abstract ----------------------------------------------------------
 
     def abstract_initial(self) -> AbstractConfigSet:
-        configs = []
-        for loc in range(self.n_locations):
-            for rgs in _partitions(self.k):
-                configs.append((loc, tuple(-1 - b for b in rgs)))
-        return AbstractConfigSet(tuple(sorted(configs)), 0)
+        valuations = initial_valuations(self.k)
+        return AbstractConfigSet(tuple((loc, values) for loc in range(self.n_locations)
+                                       for values in valuations), 0)
 
     def abstract_post(self, aset: AbstractConfigSet, letter: int, choice: int) -> AbstractConfigSet:
         m = aset.word_data_count
@@ -278,38 +364,31 @@ class Engine:
 
     def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> tuple:
         """The canonical successors of one canonical abstract configuration
-        on input `inp`."""
+        on input `inp`: the automaton-free split and writes come from the
+        process-wide tables, and only the scan of the cell is this
+        automaton's own."""
         loc, values = config
         if fresh:
-            # Branch (a): the fresh datum differs from every Sym block and
-            # word datum, so it equals no register; branches (b): it
-            # resolves exactly one block b to Word(inp) and equals the
-            # registers b held.  The later blocks move up one, which keeps
-            # each variant canonical.
-            blocks = {}
-            for j, v in enumerate(values):
-                if v < 0:
-                    blocks[v] = blocks.get(v, 0) | 1 << j
-            variants = [(values, 0)]
-            for b, sigma in blocks.items():
-                variants.append((tuple(inp if v == b else v + 1 if v < b else v
-                                       for v in values), sigma))
+            variants = _SPLITS.get((values, inp)) or _fresh_split(values, inp)
         else:
+            # A seen input splits nothing; its sigma costs less to compute
+            # than to look up.
             sigma = 0
             for j, v in enumerate(values):
                 if v == inp:
                     sigma |= 1 << j
-            variants = [(values, sigma)]
+            variants = ((values, sigma),)
         out = set()
         cell = self.table[loc][letter]
         for vals, sigma in variants:
             for mask, update, target in cell:
                 if mask >> sigma & 1:
                     if update:
-                        nv = list(vals)
-                        for r in update:
-                            nv[r] = inp
-                        out.add((target, _canon_values(nv)))
+                        key = (vals, update, inp)
+                        nv = _WRITES.get(key)
+                        if nv is None:
+                            nv = _write(key)
+                        out.add((target, nv))
                     else:
                         out.add((target, vals))
         return tuple(out)

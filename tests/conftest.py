@@ -4,6 +4,7 @@ import pytest
 
 from regsync import dsl
 from regsync.dsl import SourceDocument, parse_automaton
+from helpers import kernel_tables
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -20,3 +21,12 @@ def empty_guard_table(monkeypatch):
     ones after it."""
     monkeypatch.setattr(dsl, "_GUARDS", {})
     monkeypatch.setattr(dsl, "_DOCUMENTS", {})
+
+
+@pytest.fixture
+def empty_kernel_tables():
+    """Empty process-wide tables of the automaton-free abstract step (splits,
+    writes, initial valuations, submask unions) for one test; the old ones
+    after it."""
+    with kernel_tables():
+        yield

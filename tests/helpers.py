@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import re
 from collections import deque
 
+import pytest
+
+from regsync import semantics
 from regsync.dsl import MAX_GUARD_DEPTH, DslError, ParseDiagnostic, SourceDocument
 from regsync.ra import (
     REGISTER_ENUMERATION_CAP,
@@ -293,6 +297,63 @@ def reference_abstract_successors(eng, config, letter, inp, fresh):
                     nv[r] = inp
                 out.add((target, _canon_values(nv)))
     return tuple(out)
+
+
+@contextlib.contextmanager
+def kernel_tables(cap=None):
+    """Empty process-wide split, write, initial-valuation and submask tables
+    of `semantics` for the block, with the split and write tables capped at
+    `cap` entries when it is given; the old tables and cap after it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_SPLITS", "_WRITES", "_WRITTEN", "_INITIAL_VALUATIONS",
+                     "_SUBMASK_UNIONS"):
+            patch.setattr(semantics, name, {})
+        if cap is not None:
+            patch.setattr(semantics, "KERNEL_TABLE_CAP", cap)
+        yield
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def reference_update_reachability(aut, generalized: bool) -> list:
+    """Reference for dra._update_reachability, as it was before the submask
+    table: each edge tests its guard mask on every submask of the updated
+    registers in turn."""
+    k = aut.registers
+    full = (1 << k) - 1
+    edges = [[(mask, sum(1 << r for r in update), target)
+              for cell in row for mask, update, target in cell]
+             for row in aut.compiled.table]
+    out = []
+    for start in range(len(aut.locations)):
+        seen = {(start, 0)}
+        queue = deque(seen)
+        ok = k == 0
+        while queue and not ok:
+            loc, up = queue.popleft()
+            for gm, upm, target in edges[loc]:
+                if generalized:
+                    usable = any(gm >> s & 1 for s in _submasks(up))
+                else:
+                    usable = bool(gm & 1)
+                if not usable:
+                    continue
+                state = (target, up | upm)
+                if state[1] == full:
+                    ok = True
+                    break
+                if state not in seen:
+                    seen.add(state)
+                    queue.append(state)
+        out.append(ok)
+    return out
 
 
 def reference_accepts(aut, word) -> bool:

@@ -34,6 +34,7 @@ from helpers import (
     pair_state_shrink,
     random_complete_automaton,
     reference_orbit_key,
+    reference_update_reachability,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -90,6 +91,18 @@ class TestInequalityUpdateCheck:
                         [("q0", "a", Eq(0), {0}, "q0"),
                          ("q0", "a", neq(0), (), "q0")])
         assert inequality_update_check(aut) == [False]
+
+    @pytest.mark.parametrize("generalized", [False, True])
+    def test_submask_table_agrees_with_reference(self, generalized):
+        rng = random.Random(17)
+        verdicts = Counter()
+        for i in range(150):
+            aut = random_complete_automaton(rng, rng.randint(1, 4), i % 5, rng.randint(1, 2),
+                                            deterministic=True)
+            got = dra._update_reachability(aut, generalized)
+            assert got == reference_update_reachability(aut, generalized)
+            verdicts.update(got)
+        assert verdicts[True] and verdicts[False]
 
 
 class TestShrink:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsync import oracle, semantics
+from regsync.dra import InconclusiveError, shrink_word
 from regsync.gadgets import gen_counter_nra, reduce_nonuniv_to_sync
 from regsync.nra import (
     BudgetExhausted,
@@ -33,6 +34,7 @@ from regsync.semantics import (
 )
 from helpers import (
     all_choice_words,
+    kernel_tables,
     outcome_signature,
     random_complete_automaton,
     reference_outcome,
@@ -421,3 +423,34 @@ class TestCaps:
             else:
                 assert run[0] == before[-1]
         assert 0 < resets < len(runs) - 1
+
+    def test_outcomes_do_not_depend_on_the_kernel_tables(self):
+        def shrink(aut):
+            try:
+                return shrink_word(aut, 300)
+            except InconclusiveError as e:
+                return ("InconclusiveError", e.explored)
+
+        def outcomes():
+            # every query on a fresh automaton, so no Engine memo hides the tables
+            rng = random.Random(11)
+            out = []
+            for i in range(12):
+                k = 1 + i % 3
+                nra = random_complete_automaton(rng, rng.randint(2, 3), k, 2, acceptance=True)
+                out.append(bounded_sync_search(nra, SearchBudget(3, None, 2000)))
+                out.append(bounded_universality_witness(nra, 3, 2000))
+                dra = random_complete_automaton(rng, rng.randint(2, 3), k, 2,
+                                                deterministic=True)
+                out.append(shrink(dra))
+            return out
+
+        with kernel_tables():
+            cold = outcomes()
+            assert semantics._SPLITS and semantics._WRITES
+            warm = outcomes()
+        with kernel_tables(cap=1):
+            capped = outcomes()
+        assert cold == warm == capped
+        kinds = {type(out).__name__ if not isinstance(out, tuple) else out[0] for out in cold}
+        assert {"Witness", "NoneWithinBound", "ShrinkResult", "NotShrinkable"} <= kinds

@@ -180,6 +180,16 @@ class TestValidate:
         with pytest.raises(StructuralError, match="guard register out of range"):
             engine_for(aut)
 
+    def test_update_register_out_of_range(self):
+        aut = automaton("bad", ["q0"], 2, ["a"],
+                        [("q0", "a", TRUE, {0}, "q0"), ("q0", "a", TRUE, {-1, 1, 2}, "q0"),
+                         ("q0", "a", TRUE, {0, 2}, "q0"), ("q0", "a", TRUE, {-1}, "q0")])
+        diags = validate(aut)
+        assert [(d.code, d.message) for d in diags] == [
+            ("update-register-range", "transition 1: update register out of range: [-1, 2]"),
+            ("update-register-range", "transition 2: update register out of range: [2]"),
+            ("update-register-range", "transition 3: update register out of range: [-1]")]
+
     def test_duplicate_location_name(self):
         aut = RegisterAutomaton("bad", ("q", "q"), 0, ("a",), ())
         assert any(d.code == "duplicate-name" for d in validate(aut))

@@ -26,6 +26,7 @@ from regsync.semantics import (
 )
 from helpers import (
     all_choice_words,
+    kernel_tables,
     random_complete_automaton,
     reference_abstract_successors,
     reference_post_set,
@@ -277,20 +278,79 @@ class TestAbstractSuccessors:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_agrees_with_reference(self, data):
-        # a random canonical configuration over m word data, on every input
+        # a random canonical configuration over m word data, on every input:
+        # first with the process-wide tables cold, then from them, then with
+        # every fill emptying them first
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-        k = data.draw(st.integers(0, 3))
+        k = data.draw(st.integers(0, 4))
         aut = random_complete_automaton(rng, rng.randint(1, 3), k, rng.randint(1, 2))
         eng = Engine(aut)
-        m = data.draw(st.integers(0, 3))
+        m = data.draw(st.integers(0, 6))
         value = st.integers(-k, m - 1) if k else st.nothing()  # blocks and word data
         raw = data.draw(st.lists(value, min_size=k, max_size=k))
         config = (rng.randrange(eng.n_locations), semantics._canon_values(raw))
-        for letter in range(eng.n_letters):
-            for inp, fresh in [(m, True), *((i, False) for i in range(m))]:
-                got = eng._abstract_successors(config, letter, inp, fresh)
-                want = reference_abstract_successors(eng, config, letter, inp, fresh)
-                assert sorted(got) == sorted(want)
+        inputs = [(m, True), *((i, False) for i in range(m))]
+        for cap in (None, 1):
+            with kernel_tables(cap):
+                for _ in range(2):
+                    for letter in range(eng.n_letters):
+                        for inp, fresh in inputs:
+                            got = eng._abstract_successors(config, letter, inp, fresh)
+                            want = reference_abstract_successors(eng, config, letter, inp,
+                                                                 fresh)
+                            assert sorted(got) == sorted(want)
+
+
+class TestKernelTables:
+    def test_initial_valuations_are_the_partitions(self, empty_kernel_tables):
+        for k, bell in enumerate([1, 1, 2, 5, 15, 52, 203]):
+            valuations = semantics.initial_valuations(k)
+            assert len(valuations) == bell
+            assert valuations == tuple(sorted(tuple(map(sym, rgs))
+                                              for rgs in semantics._partitions(k)))
+            assert all(semantics._canon_values(v) == v for v in valuations)
+            assert semantics.initial_valuations(k) is valuations
+        assert len(semantics._INITIAL_VALUATIONS) == 7
+
+    def test_submask_unions(self, empty_kernel_tables):
+        for k in range(7):
+            unions = semantics.submask_unions(k)
+            assert len(unions) == 1 << k
+            for up, down in enumerate(unions):
+                assert down == sum(1 << s for s in range(1 << k) if not s & ~up)
+
+    def test_tables_stay_within_their_cap(self, monkeypatch):
+        cap = 8
+        split, write = semantics._fresh_split, semantics._write
+        shrunk = set()
+
+        def check(name, table, before):
+            assert len(table) <= cap
+            if len(table) < before:
+                shrunk.add(name)
+
+        def spy_split(*args):
+            before = len(semantics._SPLITS)
+            out = split(*args)
+            check("split", semantics._SPLITS, before)
+            return out
+
+        def spy_write(key):
+            before = len(semantics._WRITES)
+            out = write(key)
+            check("write", semantics._WRITES, before)
+            assert len(semantics._WRITTEN) <= len(semantics._WRITES)
+            assert semantics._WRITTEN[out] is out
+            return out
+
+        cword = tuple((i % 2, FRESH if i % 3 else 0) for i in range(12))
+        with kernel_tables(cap):
+            monkeypatch.setattr(semantics, "_fresh_split", spy_split)
+            monkeypatch.setattr(semantics, "_write", spy_write)
+            for seed in range(4):
+                aut = random_complete_automaton(random.Random(seed), 3, 3, 2)
+                abstract_run(aut, ((0, FRESH),) + cword)
+        assert shrunk == {"split", "write"}
 
 
 class TestSuccessorMemo:
