@@ -191,9 +191,14 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
     k = aut.registers
     if len(pool) != 2 * k + 1 or len(set(pool)) != len(pool):
         raise ValueError(f"pool must hold 2k+1 = {2 * k + 1} distinct data")
+    n = len(aut.locations)
     for q in (q1, q2):
-        if any(d not in pool for d in q[1]):
-            raise ValueError(f"configuration data {q[1]} not within the pool")
+        loc, values = q
+        if not 0 <= loc < n or len(values) != k:
+            raise ValueError(f"configuration {q} needs a location in range({n}) "
+                             f"and {k} register value(s)")
+        if any(d not in pool for d in values):
+            raise ValueError(f"configuration data {values} not within the pool")
     return _merge(engine_for(aut), q1, q2, pool, max_nodes)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .ra import (
+    REGISTER_ENUMERATION_CAP,
     TRUE,
     Acceptance,
     Eq,
@@ -72,9 +73,10 @@ class _Builder:
 def gen_chain_dra(n: int) -> RegisterAutomaton:
     """Single-letter DRA with n registers whose synchronizing words need n+1
     distinct data: two chains of inequality-guarded update steps from init,
-    merging in a full-update synch location."""
-    if n < 1:
-        raise ValueError("chain family needs n >= 1")
+    merging in a full-update synch location.  n is at most the register cap,
+    since no query can compile more registers."""
+    if not 1 <= n <= REGISTER_ENUMERATION_CAP:
+        raise ValueError(f"chain family needs 1 <= n <= {REGISTER_ENUMERATION_CAP}")
     b = _Builder(f"chain{n}", n, ["a"])
     b.loc("init")
     chains = [[f"l{i}" for i in range(1, n + 1)], [f"l{i}'" for i in range(1, n + 1)]]

@@ -26,18 +26,17 @@ initial valuations (and `submask_unions`, for the DRA reachability check)
 keep one entry per k <= ra.REGISTER_ENUMERATION_CAP.  A seen input's
 equalities are computed in place, since a lookup measured no cheaper.
 
-An Engine keeps two memos of per-configuration successors, both capped at
-SUCCESSOR_MEMO_CAP entries and cleared whenever they pass it.  The mask
-memo serves every search: sets are int bitmasks over configurations the
-Engine interns as small ids, a step ORs memoized successor masks, and
-dedup hashes one int.  Ids outlive the mask memo; the intern table is
-cleared only at the root of a search, once it holds more than
-SUCCESSOR_MEMO_CAP configurations, never while a search holds ids.  The
-tuple memo serves `abstract_post` on sorted tuples of configurations, for
-single walks only: `abstract_run` (the `run` query and the DRA word's final
-check) and the DRA shrink's replay of each word it found.  Concrete sets
-(membership, the DRA merge replay) step through `post_set`, which keeps no
-memo.
+An Engine keeps one memo of per-configuration successors, over masks, for
+the searches: sets are int bitmasks over configurations the Engine interns
+as small ids, a step ORs memoized successor masks, and dedup hashes one
+int.  The memo is cleared whenever it passes SUCCESSOR_MEMO_CAP entries.
+Ids outlive it; the intern table is cleared only at the root of a search,
+once it holds more than SUCCESSOR_MEMO_CAP configurations, never while a
+search holds ids.  Single walks keep no memo: `abstract_post` steps each
+configuration of a sorted tuple straight from the tables above, for
+`abstract_run` (the `run` query and the DRA word's final check) and the DRA
+shrink's replay of each word it found.  Concrete sets (membership, the DRA
+merge replay) step through `post_set`.
 
 `_search_bfs` is the one breadth-first search over abstract sets, for the
 bounded NRA searches and the DRA shrink alike.  It prunes masks by
@@ -263,12 +262,6 @@ class Engine:
         self.n_locations = len(aut.locations)
         self.n_letters = len(aut.alphabet)
         self.table = compiled.table
-        # (letter, input, fresh?) -> {config: its canonical abstract
-        # successors}; the fresh flag matters because a fresh input resolves
-        # symbolic blocks and a seen one never does.  memo_entries counts the
-        # configs over all steps.
-        self.successor_memo = {}
-        self.memo_entries = 0
         self._clear_ids()
 
     def _clear_ids(self) -> None:
@@ -280,7 +273,9 @@ class Engine:
         self.config_of = []
         self.dirty_mask = 0
         self.location_masks = [0] * self.n_locations
-        # (letter, input, fresh?) -> {id: mask of its successors' ids}.
+        # (letter, input, fresh?) -> {id: mask of its successors' ids}; the
+        # fresh flag matters because a fresh input resolves symbolic blocks
+        # and a seen one never does.
         self.mask_memo = {}
         self.mask_entries = 0
 
@@ -345,24 +340,12 @@ class Engine:
                 raise StructuralError(f"Seen({choice}) with only {m} word data introduced")
             inp = choice
             new_m = m
-        step = (letter, inp, fresh)
-        memo = self.successor_memo.get(step)
-        if memo is None:
-            memo = self.successor_memo[step] = {}
-        size = len(memo)
         out = set()
         for config in aset.configs:
-            succ = memo.get(config)
-            if succ is None:
-                succ = memo[config] = self._abstract_successors(config, letter, inp, fresh)
-            out.update(succ)
-        self.memo_entries += len(memo) - size
-        if self.memo_entries > SUCCESSOR_MEMO_CAP:
-            self.successor_memo.clear()
-            self.memo_entries = 0
+            out.update(self._abstract_successors(config, letter, inp, fresh))
         return AbstractConfigSet(tuple(sorted(out)), new_m)
 
-    def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> tuple:
+    def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> set:
         """The canonical successors of one canonical abstract configuration
         on input `inp`: the automaton-free split and writes come from the
         process-wide tables, and only the scan of the cell is this
@@ -391,7 +374,7 @@ class Engine:
                         out.add((target, nv))
                     else:
                         out.add((target, vals))
-        return tuple(out)
+        return out
 
     def abstract_run(self, cword) -> AbstractConfigSet:
         aset = self.abstract_initial()
@@ -466,7 +449,7 @@ class Engine:
 def engine_for(aut: RegisterAutomaton) -> Engine:
     """The one Engine of `aut`, built on first use and kept in the instance's
     own __dict__, as `compiled` is.  It lives exactly as long as the
-    automaton does, and its memos, intern table and search state are never
+    automaton does, and its memo, intern table and search state are never
     shared: automata parsed from one text share their compiled form but
     each builds its own Engine."""
     engine = aut.__dict__.get("_engine")
@@ -609,11 +592,14 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
 
 
 def post_config(aut: RegisterAutomaton, config, inp) -> set:
+    check_letters(aut, (inp,))
     letter, datum = inp
     return set(engine_for(aut).post_config(config, letter, datum))
 
 
 def post_set(aut: RegisterAutomaton, configs, word) -> frozenset:
+    word = tuple(word)
+    check_letters(aut, word)
     return engine_for(aut).post_set(configs, word)
 
 
@@ -622,6 +608,7 @@ def abstract_initial(aut: RegisterAutomaton) -> AbstractConfigSet:
 
 
 def abstract_post(aut: RegisterAutomaton, aset: AbstractConfigSet, inp) -> AbstractConfigSet:
+    check_letters(aut, (inp,))
     letter, choice = inp
     return engine_for(aut).abstract_post(aset, letter, choice)
 
@@ -638,5 +625,6 @@ def check_letters(aut: RegisterAutomaton, word) -> None:
 
 
 def abstract_run(aut: RegisterAutomaton, cword) -> AbstractConfigSet:
+    cword = tuple(cword)
     check_letters(aut, cword)
     return engine_for(aut).abstract_run(cword)

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from regsync.cli import main
-from regsync.dsl import serialize_automaton
+from regsync.dsl import parse_automaton, serialize_automaton
 from regsync.gadgets import gen_chain_dra, gen_counter_nra
 from regsync.nra import SearchBudget, bounded_sync_search
 
@@ -314,6 +314,14 @@ class TestGen:
 
     def test_gen_needs_n(self, capsys):
         assert run(capsys, "gen", "chain")[0] == 3
+
+    def test_gen_chain_stays_within_the_register_cap(self, capsys):
+        code, out, _ = run(capsys, "gen", "chain", "--n", "6")
+        assert code == 0
+        assert parse_automaton(out).registers == 6
+        code, out, err = run(capsys, "gen", "chain", "--n", "7")
+        assert (code, out) == (3, "")
+        assert "1 <= n <= 6" in err
 
 
 class TestOtherCommands:

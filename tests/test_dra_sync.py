@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -228,6 +229,15 @@ class TestPairwiseMerge:
         aut = gen_chain_dra(1)
         with pytest.raises(ValueError):
             pairwise_merge_word(aut, (0, (0,)), (1, (0,)), [0, 1])
+
+    @pytest.mark.parametrize("q", [(-1, (0,)), (4, (0,)), (0, (0, 1))],
+                             ids=["negative location", "location past the end",
+                                  "two values at k = 1"])
+    def test_configurations_checked(self, q):
+        aut = gen_chain_dra(1)
+        assert len(aut.locations) == 4
+        with pytest.raises(ValueError, match=f"configuration {re.escape(str(q))}"):
+            pairwise_merge_word(aut, q, (0, (0,)), range(3))
 
     def test_shortest_by_exhaustive_enumeration(self):
         rng = random.Random(29)

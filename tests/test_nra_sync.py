@@ -309,4 +309,4 @@ class TestAccepts:
         for word in ((), ((0, 1),), ((0, 1), (1, 2), (0, 1), (1, 3))):
             accepts(aut, word)
         eng = engine_for(aut)
-        assert eng.successor_memo == {} and eng.memo_entries == 0
+        assert eng.mask_memo == {} and eng.config_of == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsync import semantics
-from regsync.gadgets import gen_chain_dra
+from regsync.gadgets import gen_chain_dra, gen_counter_nra
 from regsync.ra import TRUE, Eq, mk_transition, RegisterAutomaton
 from regsync.semantics import (
     FRESH,
@@ -270,10 +270,6 @@ def random_engine_and_word(data, max_len=3):
     return aut, data.draw(choice_words(len(aut.alphabet), max_len))
 
 
-def memo_size(eng):
-    return sum(len(configs) for configs in eng.successor_memo.values())
-
-
 class TestAbstractSuccessors:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -360,9 +356,7 @@ class TestSuccessorMemo:
         aut, cword = random_engine_and_word(data)
         eng = Engine(aut)
         first = eng.abstract_run(cword)
-        filled = memo_size(eng)
-        assert eng.abstract_run(cword) == first  # every step a memo hit
-        assert memo_size(eng) == filled == eng.memo_entries
+        assert eng.abstract_run(cword) == first
         assert Engine(aut).abstract_run(cword) == first
         check_correspondence(aut, cword)
 
@@ -377,21 +371,21 @@ class TestSuccessorMemo:
             aset = eng.abstract_post(aset, letter, choice)
             assert canonicalize(aset) == aset
 
-    def test_memo_stays_within_its_cap(self, monkeypatch):
+    def test_single_walks_leave_the_search_state_empty(self):
+        # a long-lived automaton walked along 200 distinct words: single
+        # walks keep no memo and intern nothing
         aut = random_complete_automaton(random.Random(3), 3, 2, 2)
-        cword = tuple((i % 2, FRESH) for i in range(40))
-        expected = [Engine(aut).abstract_run(cword[:n]) for n in range(len(cword) + 1)]
-        monkeypatch.setattr(semantics, "SUCCESSOR_MEMO_CAP", 50)
-        eng = Engine(aut)
-        aset = eng.abstract_initial()
-        cleared = False
-        for n, (letter, choice) in enumerate(cword, 1):
-            before = memo_size(eng)
-            aset = eng.abstract_post(aset, letter, choice)
-            cleared |= memo_size(eng) < before
-            assert memo_size(eng) == eng.memo_entries <= 50
-            assert aset == expected[n]
-        assert cleared
+        eng = semantics.engine_for(aut)
+        before = {name: repr(value) for name, value in vars(eng).items()}
+        for i in range(2, 202):
+            # the binary digits of i after its leading one spell the letters,
+            # so no two words are equal; every third entry reads the first datum
+            letters = bin(i)[3:]
+            abstract_run(aut, tuple((int(c), 0 if j % 3 == 2 else FRESH)
+                                    for j, c in enumerate(letters)))
+        assert eng.mask_memo == {} and eng.mask_entries == 0
+        assert eng.id_of == {} and eng.config_of == []
+        assert {name: repr(value) for name, value in vars(eng).items()} == before
 
 
 class TestEngineCache:
@@ -415,6 +409,26 @@ class TestEngineCache:
         del aut
         gc.collect()
         assert all(aut_ref() is None and eng_ref() is None for aut_ref, eng_ref in refs)
+
+
+class TestLetterChecks:
+    @pytest.mark.parametrize("step", [
+        lambda aut: post_config(aut, (0, (0,)), (-1, 0)),
+        lambda aut: post_set(aut, [(0, (0,))], ((0, 0), (-1, 0))),
+        lambda aut: abstract_post(aut, abstract_initial(aut), (-1, FRESH)),
+    ], ids=["post_config", "post_set", "abstract_post"])
+    def test_module_steps_reject_a_negative_letter(self, step):
+        aut = gen_counter_nra(1)
+        with pytest.raises(ValueError, match=r"letter id -1 at position \d is not in range"):
+            step(aut)
+
+    def test_checked_walks_take_any_iterable(self):
+        # the check reads the word before the walk does
+        aut = gen_chain_dra(2)
+        word = ((0, 1), (0, 2), (0, 3))
+        assert post_set(aut, [(0, (0, 0))], iter(word)) == post_set(aut, [(0, (0, 0))], word)
+        cword = choice_of_word(word)
+        assert abstract_run(aut, iter(cword)) == abstract_run(aut, cword)
 
 
 class TestDeterministicShrinking:
