@@ -31,10 +31,9 @@ from .semantics import (
     _Exhausted,
     _search_bfs,
     bfs_path,
-    choice_of_word,
+    check_configs,
     engine_for,
     instantiate_choice_word,
-    is_synchronized,
     submask_unions,
 )
 
@@ -191,12 +190,8 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
     k = aut.registers
     if len(pool) != 2 * k + 1 or len(set(pool)) != len(pool):
         raise ValueError(f"pool must hold 2k+1 = {2 * k + 1} distinct data")
-    n = len(aut.locations)
-    for q in (q1, q2):
-        loc, values = q
-        if not 0 <= loc < n or len(values) != k:
-            raise ValueError(f"configuration {q} needs a location in range({n}) "
-                             f"and {k} register value(s)")
+    check_configs(aut, (q1, q2))
+    for _, values in (q1, q2):
         if any(d not in pool for d in values):
             raise ValueError(f"configuration data {values} not within the pool")
     return _merge(engine_for(aut), q1, q2, pool, max_nodes)
@@ -258,8 +253,13 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
     each merge a search over pairs up to data bijection.  `max_nodes`
     (None: REGSYNC_MAX_NODES or 1e6) bounds the shrink search and,
     separately, each merge call; past it the search raises
-    InconclusiveError naming its phase.  The result is re-checked
-    against the abstract semantics before return.
+    InconclusiveError naming its phase.
+
+    The word synchronizes by construction: the shrink replay computes the
+    exact abstract post of the shrink word, which holds no symbolic value,
+    and each merge word is replayed concretely from there, until one
+    configuration is left.  An empty word (k = 0 and one location) becomes
+    one letter, after which a complete DRA is still at one configuration.
     """
     shrink = shrink_word(aut, max_nodes)  # checks that `aut` is a DRA
     if isinstance(shrink, NotShrinkable):
@@ -279,8 +279,6 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
         if not aut.alphabet:
             return None
         word.append((0, 0))
-    if not is_synchronized(eng.abstract_run(choice_of_word(word))):
-        raise RuntimeError("internal error: constructed word failed abstract verification")
     return tuple(word)
 
 

@@ -16,14 +16,16 @@ Parsing keeps two process-wide tables.  The document table maps a whole
 text (DSL or JSON) that parsed without a diagnostic to its automaton,
 compiled at that first parse; every later call with that text returns a new
 automaton, equal to the stored one, that shares its compiled form
-(ra.CompiledAutomaton, immutable).  Only shared data is stored: each
-returned automaton builds its own Engine on first use, so successor memos,
-intern tables, search state and verdicts are never shared between calls,
-and they are freed with the caller's automaton.  Below it, both parsers
-look guards up in the guard table, keyed by the guard's words joined by
-single spaces, so each distinct guard text is parsed once per process and
-every document that uses it shares one guard object (and the masks it
-keeps); each document checks the guard's registers against its own `k`.
+(ra.CompiledAutomaton: fixed tables, plus the firing table that single
+walks fill, capped at ra.FIRING_TABLE_CAP entries).  Only shared data is
+stored: each returned automaton builds its own Engine on first use, so
+successor memos, intern tables, search state and verdicts are never shared
+between calls, and they are freed with the caller's automaton.  Below it,
+both parsers look guards up in the guard table, keyed by the guard's words
+joined by single spaces, so each distinct guard text is parsed once per
+process and every document that uses it shares one guard object (and the
+masks it keeps); each document checks the guard's registers against its own
+`k`.
 Only documents and guards that parse without a diagnostic are stored, so a
 DslError always names the provenance of the call that raised it.  The guard
 table holds at most GUARD_TABLE_CAP (4 096) entries, the document table at

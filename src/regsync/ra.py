@@ -21,6 +21,8 @@ Configuration = tuple  # (location id, Valuation)
 # Guards are enumerated over 2^k atom assignments; reject silly register
 # counts instead of silently degrading.
 REGISTER_ENUMERATION_CAP = 6
+# Entries a compiled automaton's firing table may hold before it is emptied.
+FIRING_TABLE_CAP = 4096
 
 
 class StructuralError(ValueError):
@@ -305,12 +307,19 @@ class CompiledAutomaton:
     is the union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
     transition and with two, in (location, letter, sigma) order, or None.
-    The form is immutable, all tuples, and holds no Engine: parsed automata
-    of one text share it (dsl's document table), while each automaton
-    instance keeps its own Engine (semantics.engine_for).
+    These fields are tuples, fixed at construction.  `firing` is the one
+    table that grows: it maps (letter, sigma, location mask) to what the
+    locations in the mask fire under assignment sigma, filled by `fire` on
+    first use, with each distinct (update, target mask) pair stored once,
+    and emptied wholesale once it holds FIRING_TABLE_CAP entries.
+    It holds ints and update frozensets, no valuation and no Engine, so it
+    is shared wherever the form is: parsed automata of one text share both
+    (dsl's document table), while each automaton instance keeps its own
+    Engine (semantics.engine_for).
     """
 
-    __slots__ = ("diagnostics", "masks", "table", "covered", "gap", "conflict")
+    __slots__ = ("diagnostics", "masks", "table", "covered", "gap", "conflict", "firing",
+                 "_fired")
 
     def __init__(self, aut: "RegisterAutomaton"):
         k = aut.registers
@@ -349,6 +358,29 @@ class CompiledAutomaton:
         ts = aut.transitions
         self.table = tuple(tuple(tuple((masks[i], ts[i].update, ts[i].target) for i in ids)
                                  for ids in row) for row in cells)
+        self.firing = {}
+        self._fired = {}  # each distinct (update, target mask) pair in `firing`, stored once
+
+    def fire(self, key: tuple) -> tuple:
+        """The firing table's entry for key = (letter, sigma, location mask),
+        filled now: one (update, target mask) pair per distinct update that
+        some transition enabled under sigma in the cells of `letter` at the
+        mask's locations performs, its target mask the union of their
+        targets."""
+        letter, sigma, locs = key
+        targets = {}
+        while locs:
+            low = locs & -locs
+            locs ^= low
+            for mask, update, target in self.table[low.bit_length() - 1][letter]:
+                if mask >> sigma & 1:
+                    targets[update] = targets.get(update, 0) | 1 << target
+        firing, fired = self.firing, self._fired
+        if len(firing) >= FIRING_TABLE_CAP:
+            firing.clear()
+            fired.clear()
+        out = firing[key] = tuple(fired.setdefault(pair, pair) for pair in targets.items())
+        return out
 
 
 def _lowest_bit(mask: int) -> int:

@@ -32,11 +32,17 @@ as small ids, a step ORs memoized successor masks, and dedup hashes one
 int.  The memo is cleared whenever it passes SUCCESSOR_MEMO_CAP entries.
 Ids outlive it; the intern table is cleared only at the root of a search,
 once it holds more than SUCCESSOR_MEMO_CAP configurations, never while a
-search holds ids.  Single walks keep no memo: `abstract_post` steps each
-configuration of a sorted tuple straight from the tables above, for
-`abstract_run` (the `run` query and the DRA word's final check) and the DRA
-shrink's replay of each word it found.  Concrete sets (membership, the DRA
-merge replay) step through `post_set`.
+search holds ids.  Single walks keep no per-configuration memo.  They
+walk a set grouped by valuation, as a dict from each valuation to the mask
+of the locations holding it: a step computes a valuation's sigma, or its
+fresh-split branches, once, reads what that location mask fires from the
+firing table of the automaton's compiled form (ra.CompiledAutomaton.fire),
+and writes each update once per valuation.  The firing table is shared by
+every automaton parsed from one text and emptied at ra.FIRING_TABLE_CAP
+entries.  `abstract_post` steps an abstract set this way, for
+`abstract_run` (the `run` query) and the DRA shrink's replay of each word
+it found; `post_set` steps a concrete set (membership, the DRA merge
+replay).
 
 `_search_bfs` is the one breadth-first search over abstract sets, for the
 bounded NRA searches and the DRA shrink alike.  It prunes masks by
@@ -262,6 +268,8 @@ class Engine:
         self.n_locations = len(aut.locations)
         self.n_letters = len(aut.alphabet)
         self.table = compiled.table
+        self.firing = compiled.firing
+        self.fire = compiled.fire
         self._clear_ids()
 
     def _clear_ids(self) -> None:
@@ -298,29 +306,35 @@ class Engine:
 
     def post_set(self, configs, word) -> frozenset:
         """The configurations reached from the concrete `configs` along the
-        data word `word`.  This is the one concrete set step: it computes
-        each configuration's sigma and scans its cell in place, as
-        post_config does for one configuration."""
-        table = self.table
-        current = set(configs)
+        data word `word`.  This is the one concrete set step.  It walks the
+        set grouped by valuation: each valuation's sigma is computed once,
+        its location mask's transitions come from the firing table, and each
+        update is written once for all the targets it reaches."""
+        firing, fire = self.firing, self.fire
+        groups = _grouped(configs)
         for letter, datum in word:
-            out = set()
-            for loc, values in current:
+            out = {}
+            for values, locs in groups.items():
                 sigma = 0
-                for j, v in enumerate(values):
-                    if v == datum:
-                        sigma |= 1 << j
-                for mask, update, target in table[loc][letter]:
-                    if mask >> sigma & 1:
-                        if update:
-                            nv = list(values)
-                            for r in update:
-                                nv[r] = datum
-                            out.add((target, tuple(nv)))
-                        else:
-                            out.add((target, values))
-            current = out
-        return frozenset(current)
+                if datum in values:  # a datum no register holds needs no scan
+                    for j, v in enumerate(values):
+                        if v == datum:
+                            sigma |= 1 << j
+                key = (letter, sigma, locs)
+                fires = firing.get(key)
+                if fires is None:
+                    fires = fire(key)
+                for update, targets in fires:
+                    if update:
+                        nv = list(values)
+                        for r in update:
+                            nv[r] = datum
+                        nv = tuple(nv)
+                    else:
+                        nv = values
+                    out[nv] = out.get(nv, 0) | targets
+            groups = out
+        return frozenset(_ungrouped(groups))
 
     # -- abstract ----------------------------------------------------------
 
@@ -340,16 +354,40 @@ class Engine:
                 raise StructuralError(f"Seen({choice}) with only {m} word data introduced")
             inp = choice
             new_m = m
-        out = set()
-        for config in aset.configs:
-            out.update(self._abstract_successors(config, letter, inp, fresh))
-        return AbstractConfigSet(tuple(sorted(out)), new_m)
+        # grouped by valuation, as in post_set; a fresh input's branches
+        # come from the split table and each write from the write table
+        firing, fire = self.firing, self.fire
+        out = {}
+        for values, locs in _grouped(aset.configs).items():
+            if fresh:
+                variants = _SPLITS.get((values, inp)) or _fresh_split(values, inp)
+            else:
+                sigma = 0
+                for j, v in enumerate(values):
+                    if v == inp:
+                        sigma |= 1 << j
+                variants = ((values, sigma),)
+            for vals, sigma in variants:
+                key = (letter, sigma, locs)
+                fires = firing.get(key)
+                if fires is None:
+                    fires = fire(key)
+                for update, targets in fires:
+                    if update:
+                        key = (vals, update, inp)
+                        nv = _WRITES.get(key)
+                        if nv is None:
+                            nv = _write(key)
+                    else:
+                        nv = vals
+                    out[nv] = out.get(nv, 0) | targets
+        return AbstractConfigSet(tuple(sorted(_ungrouped(out))), new_m)
 
     def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> set:
         """The canonical successors of one canonical abstract configuration
-        on input `inp`: the automaton-free split and writes come from the
-        process-wide tables, and only the scan of the cell is this
-        automaton's own."""
+        on input `inp`, for the mask memo: the automaton-free split and
+        writes come from the process-wide tables, and only the scan of the
+        cell is this automaton's own."""
         loc, values = config
         if fresh:
             variants = _SPLITS.get((values, inp)) or _fresh_split(values, inp)
@@ -391,23 +429,25 @@ class Engine:
         configs."""
         if len(self.config_of) > SUCCESSOR_MEMO_CAP:
             self._clear_ids()
-        return self._intern_all(configs)
-
-    def _intern_all(self, configs) -> int:
         id_of = self.id_of
         mask = 0
         for config in configs:
             i = id_of.get(config)
             if i is None:
-                i = id_of[config] = len(self.config_of)
-                self.config_of.append(config)
-                loc, values = config
-                bit = 1 << i
-                self.location_masks[loc] |= bit
-                if any(v < 0 for v in values):
-                    self.dirty_mask |= bit
+                i = self._new_id(config)
             mask |= 1 << i
         return mask
+
+    def _new_id(self, config) -> int:
+        """Intern `config`, which has no id yet, and return its new id."""
+        i = self.id_of[config] = len(self.config_of)
+        self.config_of.append(config)
+        loc, values = config
+        bit = 1 << i
+        self.location_masks[loc] |= bit
+        if values and min(values) < 0:
+            self.dirty_mask |= bit
+        return i
 
     def mask_synchronized(self, mask: int) -> bool:
         """is_synchronized on a mask: exactly one id, and a clean one."""
@@ -427,6 +467,7 @@ class Engine:
         memo = self.mask_memo.get(step)
         if memo is None:
             memo = self.mask_memo[step] = {}
+        id_of = self.id_of
         out = 0
         while mask:
             low = mask & -mask
@@ -434,8 +475,14 @@ class Engine:
             i = low.bit_length() - 1
             succ = memo.get(i)
             if succ is None:
-                succ = memo[i] = self._intern_all(
-                    self._abstract_successors(self.config_of[i], letter, inp, fresh))
+                succ = 0
+                for config in self._abstract_successors(self.config_of[i], letter, inp,
+                                                        fresh):
+                    j = id_of.get(config)
+                    if j is None:
+                        j = self._new_id(config)
+                    succ |= 1 << j
+                memo[i] = succ
                 self.mask_entries += 1
             out |= succ
             if goal is not None and out and not goal(out):
@@ -446,12 +493,33 @@ class Engine:
         return out
 
 
+def _grouped(configs) -> dict:
+    """`configs` as a dict from each valuation to the mask of the locations
+    holding it."""
+    groups = {}
+    for loc, values in configs:
+        groups[values] = groups.get(values, 0) | 1 << loc
+    return groups
+
+
+def _ungrouped(groups: dict) -> list:
+    """The configurations of a dict from valuation to location mask."""
+    out = []
+    for values, locs in groups.items():
+        while locs:
+            low = locs & -locs
+            locs ^= low
+            out.append((low.bit_length() - 1, values))
+    return out
+
+
 def engine_for(aut: RegisterAutomaton) -> Engine:
     """The one Engine of `aut`, built on first use and kept in the instance's
     own __dict__, as `compiled` is.  It lives exactly as long as the
     automaton does, and its memo, intern table and search state are never
-    shared: automata parsed from one text share their compiled form but
-    each builds its own Engine."""
+    shared: automata parsed from one text share their compiled form, and
+    with it the firing table that single walks read, but each builds its
+    own Engine."""
     engine = aut.__dict__.get("_engine")
     if engine is None:
         engine = aut.__dict__["_engine"] = Engine(aut)
@@ -558,12 +626,16 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
     parents = {start: None}
     budget.queued += 1
     kept = {data: {root & -root: [root]}}  # word data count -> {lowest bit: kept masks}
+    moves = {}  # word data count -> its moves
     queue = deque([(start, 0)] if max_length is None or max_length > 0 else ())
     while queue:
         node, depth = queue.popleft()
         last = max_length is not None and depth + 1 >= max_length
         s, m = node
-        for letter, choice in _moves(eng.n_letters, m, max_data):
+        node_moves = moves.get(m)
+        if node_moves is None:
+            node_moves = moves[m] = _moves(eng.n_letters, m, max_data)
+        for letter, choice in node_moves:
             if not budget.tick():
                 raise _Exhausted
             nxt = eng.mask_post(s, m, letter, choice, goal if last else None)
@@ -592,13 +664,16 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
 
 
 def post_config(aut: RegisterAutomaton, config, inp) -> set:
+    check_configs(aut, (config,))
     check_letters(aut, (inp,))
     letter, datum = inp
     return set(engine_for(aut).post_config(config, letter, datum))
 
 
 def post_set(aut: RegisterAutomaton, configs, word) -> frozenset:
+    configs = tuple(configs)
     word = tuple(word)
+    check_configs(aut, configs)
     check_letters(aut, word)
     return engine_for(aut).post_set(configs, word)
 
@@ -608,9 +683,24 @@ def abstract_initial(aut: RegisterAutomaton) -> AbstractConfigSet:
 
 
 def abstract_post(aut: RegisterAutomaton, aset: AbstractConfigSet, inp) -> AbstractConfigSet:
+    check_configs(aut, aset.configs)
     check_letters(aut, (inp,))
     letter, choice = inp
     return engine_for(aut).abstract_post(aset, letter, choice)
+
+
+def check_configs(aut: RegisterAutomaton, configs) -> None:
+    """Raise ValueError at the first configuration of `configs` whose
+    location is outside range(len(aut.locations)) or whose valuation is not
+    k long: a step reads a location's row by index and its bit by shift, so
+    such a configuration would silently step from another location or
+    register count, or fail with an unrelated error."""
+    n, k = len(aut.locations), aut.registers
+    for config in configs:
+        loc, values = config
+        if not 0 <= loc < n or len(values) != k:
+            raise ValueError(f"configuration {config} needs a location in range({n}) "
+                             f"and {k} register value(s)")
 
 
 def check_letters(aut: RegisterAutomaton, word) -> None:

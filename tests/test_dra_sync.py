@@ -345,6 +345,51 @@ class TestSynchronizingWordDra:
                 assert len(word_data(word)) <= 2 * aut.registers + 1
 
 
+    def test_every_word_synchronizes(self):
+        # the pipeline returns its word without re-walking it: each word
+        # must synchronize the abstract semantics, and, where the concrete
+        # enumeration over its data plus k fits, the oracle too
+        rng = random.Random(71)
+        words = oracle_checked = 0
+        for _ in range(80):
+            k = rng.randint(0, 3)
+            aut = random_complete_automaton(rng, rng.randint(1, 4), k, rng.randint(1, 3),
+                                            deterministic=True)
+            try:
+                word = synchronizing_word_dra(aut, 20_000)
+            except InconclusiveError:
+                continue
+            if word is None:
+                continue
+            words += 1
+            assert is_synchronized(abstract_run(aut, choice_of_word(word)))
+            assert len(word_data(word)) <= 2 * k + 1
+            if len(aut.locations) * (len(word_data(word)) + k) ** k <= 4_000:
+                oracle_checked += 1
+                assert oracle_is_synchronizing(aut, word)
+        assert words >= 40 and oracle_checked >= 40
+
+    @pytest.mark.parametrize("n_locations", [1, 2, 4])
+    def test_no_registers(self, n_locations):
+        # k = 0: the shrink word is empty, the merges run over the pool {0},
+        # and one location leaves the whole word empty, so it gets a letter
+        rng = random.Random(73 + n_locations)
+        for _ in range(10):
+            aut = random_complete_automaton(rng, n_locations, 0, 2, deterministic=True)
+            word = synchronizing_word_dra(aut)
+            if n_locations == 1:
+                assert word == ((0, 0),)
+            if word is not None:
+                assert is_synchronized(abstract_run(aut, choice_of_word(word)))
+                assert oracle_is_synchronizing(aut, word)
+
+    def test_one_location(self):
+        # no letter to append: no word; with registers the shrink word is nonempty
+        assert synchronizing_word_dra(RegisterAutomaton("mute", ("q",), 0, (), ())) is None
+        word = synchronizing_word_dra(full_update_loop())
+        assert word == ((0, 0),)
+        assert is_synchronized(abstract_run(full_update_loop(), choice_of_word(word)))
+
     def test_witness_agrees_with_concrete_merge(self, monkeypatch):
         rng = random.Random(47)
         auts = [random_complete_automaton(rng, rng.randint(1, 4), k, 2, deterministic=True)

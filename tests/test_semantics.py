@@ -1,10 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsync import semantics
+from regsync import ra, semantics
+from regsync.dsl import parse_automaton, serialize_automaton
 from regsync.gadgets import gen_chain_dra, gen_counter_nra
 from regsync.ra import TRUE, Eq, mk_transition, RegisterAutomaton
 from regsync.semantics import (
@@ -159,7 +161,10 @@ class TestPost:
 
 
     def test_post_set_agrees_with_post_config(self):
+        # each automaton dense and thinned, each walk with the firing table
+        # cold, warm and emptied at every fill
         rng = random.Random(29)
+        thin = random.Random(30)
         for _ in range(60):
             k = rng.randint(0, 3)
             aut = random_complete_automaton(rng, rng.randint(1, 4), k, rng.randint(1, 2))
@@ -168,8 +173,31 @@ class TestPost:
             configs = {(rng.randrange(len(aut.locations)),
                         tuple(rng.randrange(5) for _ in range(k)))
                        for _ in range(rng.randint(1, 5))}
-            eng = semantics.engine_for(aut)
-            assert eng.post_set(configs, word) == reference_post_set(eng, configs, word)
+            for walked in (aut, thinned(thin, aut)):
+                eng = semantics.engine_for(walked)
+                want = reference_post_set(eng, configs, word)
+                for _ in firing_table_states(walked):
+                    assert eng.post_set(configs, word) == want
+
+
+def thinned(rng: random.Random, aut: RegisterAutomaton) -> RegisterAutomaton:
+    """`aut` with each transition kept with probability 1/2: cells with gaps,
+    and some cells with nothing to fire."""
+    return RegisterAutomaton(aut.name, aut.locations, aut.registers, aut.alphabet,
+                             tuple(t for t in aut.transitions if rng.random() < 0.5))
+
+
+def firing_table_states(aut: RegisterAutomaton):
+    """Yield with `aut`'s firing table cold, then warm, then emptied at every
+    fill (capped at one entry)."""
+    aut.compiled.firing.clear()
+    yield
+    yield
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ra, "FIRING_TABLE_CAP", 1)
+        aut.compiled.firing.clear()
+        yield
+        assert len(aut.compiled.firing) <= 1
 
 
 class TestAbstractPost:
@@ -373,10 +401,13 @@ class TestSuccessorMemo:
 
     def test_single_walks_leave_the_search_state_empty(self):
         # a long-lived automaton walked along 200 distinct words: single
-        # walks keep no memo and intern nothing
+        # walks keep no per-configuration memo and intern nothing; what
+        # they keep is the compiled form's firing table, which holds only
+        # what location masks fire, never a configuration
         aut = random_complete_automaton(random.Random(3), 3, 2, 2)
         eng = semantics.engine_for(aut)
-        before = {name: repr(value) for name, value in vars(eng).items()}
+        firing = aut.compiled.firing
+        assert eng.firing is firing and firing == {}
         for i in range(2, 202):
             # the binary digits of i after its leading one spell the letters,
             # so no two words are equal; every third entry reads the first datum
@@ -385,7 +416,98 @@ class TestSuccessorMemo:
                                     for j, c in enumerate(letters)))
         assert eng.mask_memo == {} and eng.mask_entries == 0
         assert eng.id_of == {} and eng.config_of == []
-        assert {name: repr(value) for name, value in vars(eng).items()} == before
+        assert eng.dirty_mask == 0 and eng.location_masks == [0] * eng.n_locations
+        assert aut.compiled.firing is firing and 0 < len(firing) <= ra.FIRING_TABLE_CAP
+        for (letter, sigma, locs), fires in firing.items():
+            assert 0 <= letter < eng.n_letters and 0 <= sigma < 1 << eng.k
+            assert 0 < locs < 1 << eng.n_locations
+            for update, targets in fires:
+                assert isinstance(update, frozenset) and 0 < targets < 1 << eng.n_locations
+
+
+def random_abstract_set(rng: random.Random, aut: RegisterAutomaton) -> AbstractConfigSet:
+    """Up to 8 canonical configurations over up to 3 word data."""
+    k, m = aut.registers, rng.randint(0, 3)
+    configs = {(rng.randrange(len(aut.locations)),
+                semantics._canon_values([rng.randint(-k, m - 1) for _ in range(k)]))
+               for _ in range(rng.randint(0, 8))}
+    return AbstractConfigSet(tuple(sorted(configs)), m)
+
+
+class TestGroupedWalks:
+    """Engine.post_set (tested in TestPost) and Engine.abstract_post walk a
+    set grouped by valuation through the compiled automaton's firing table,
+    which every automaton parsed from one text shares."""
+
+    def test_abstract_post_agrees_with_reference(self):
+        # the union of the per-configuration reference successors, with the
+        # firing table cold, warm and emptied at every fill
+        rng = random.Random(67)
+        for _ in range(80):
+            aut = random_complete_automaton(rng, rng.randint(1, 4), rng.randint(0, 3),
+                                            rng.randint(1, 2))
+            if rng.random() < 0.5:
+                aut = thinned(rng, aut)
+            aset = random_abstract_set(rng, aut)
+            eng = Engine(aut)
+            m = aset.word_data_count
+            steps = [(letter, choice) for letter in range(eng.n_letters)
+                     for choice in (FRESH, *range(m))]
+            want = {}
+            for letter, choice in steps:
+                inp = m if choice == FRESH else choice
+                want[letter, choice] = AbstractConfigSet(tuple(sorted(
+                    {succ for config in aset.configs
+                     for succ in reference_abstract_successors(
+                         eng, config, letter, inp, choice == FRESH)})),
+                    m + (choice == FRESH))
+            for _ in firing_table_states(aut):
+                for letter, choice in steps:
+                    assert eng.abstract_post(aset, letter, choice) == want[letter, choice]
+
+    def test_parsed_copies_share_one_table(self, empty_guard_table):
+        code_built = gen_chain_dra(2)
+        text = serialize_automaton(code_built)
+        first, second = parse_automaton(text), parse_automaton(text)
+        assert first is not second and first.compiled is second.compiled
+        assert semantics.engine_for(first) is not semantics.engine_for(second)
+        assert semantics.engine_for(first).firing is semantics.engine_for(second).firing
+        assert code_built.compiled.firing is not first.compiled.firing
+        cword = ((0, FRESH), (0, FRESH), (0, 1), (0, FRESH), (0, 0))
+        word = instantiate_choice_word(cword, [5, 6, 7])
+        configs = [(loc, (d, e)) for loc in range(len(code_built.locations))
+                   for d in range(3) for e in range(3)]
+        want = (abstract_run(code_built, cword), post_set(code_built, configs, word))
+        assert (abstract_run(first, cword), post_set(first, configs, word)) == want
+        filled = dict(first.compiled.firing)
+        assert filled
+        # the second copy walks from the entries the first one filled
+        assert (abstract_run(second, cword), post_set(second, configs, word)) == want
+        assert second.compiled.firing == filled
+
+    def test_firing_table_stays_within_its_cap(self, monkeypatch):
+        cap = 4
+        fire = ra.CompiledAutomaton.fire
+        sizes = []
+
+        def spy(self, key):
+            out = fire(self, key)
+            sizes.append(len(self.firing))
+            return out
+
+        monkeypatch.setattr(ra, "FIRING_TABLE_CAP", cap)
+        monkeypatch.setattr(ra.CompiledAutomaton, "fire", spy)
+        aut = random_complete_automaton(random.Random(7), 4, 2, 2)
+        cword = tuple((i % 2, FRESH if i % 3 else 0) for i in range(1, 12))
+        abstract_run(aut, ((0, FRESH),) + cword)
+        assert max(sizes) <= cap and len(sizes) > cap
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # emptied when full
+        # each distinct (update, target mask) pair is stored once, and only
+        # while an entry holds it
+        compiled = aut.compiled
+        held = {id(pair): pair for fires in compiled.firing.values() for pair in fires}
+        assert held == {id(pair): pair for pair in compiled._fired.values()}
+        assert all(compiled._fired[pair] is pair for pair in held.values())
 
 
 class TestEngineCache:
@@ -429,6 +551,28 @@ class TestLetterChecks:
         assert post_set(aut, [(0, (0, 0))], iter(word)) == post_set(aut, [(0, (0, 0))], word)
         cword = choice_of_word(word)
         assert abstract_run(aut, iter(cword)) == abstract_run(aut, cword)
+
+
+class TestConfigChecks:
+    STEPS = {
+        "post_config": lambda aut, config: post_config(aut, config, (0, 0)),
+        "post_set": lambda aut, config: post_set(aut, [(0, (0, 0)), config], ((0, 0),)),
+        "abstract_post": lambda aut, config: abstract_post(
+            aut, AbstractConfigSet(((0, (0, 0)), config), 1), (0, FRESH)),
+    }
+
+    @pytest.mark.parametrize("config", [(-1, (0, 0)), (6, (0, 0)), (0, (0,)),
+                                        (0, (0, 0, 0))],
+                             ids=["negative location", "location past the end",
+                                  "one value at k = 2", "three values at k = 2"])
+    @pytest.mark.parametrize("step", sorted(STEPS))
+    def test_module_steps_reject_a_configuration_outside_the_automaton(self, step, config):
+        aut = gen_chain_dra(2)
+        assert len(aut.locations) == 6
+        pattern = (rf"configuration {re.escape(str(config))} needs a location in "
+                   rf"range\(6\) and 2 register value\(s\)")
+        with pytest.raises(ValueError, match=pattern):
+            self.STEPS[step](aut, config)
 
 
 class TestDeterministicShrinking:
