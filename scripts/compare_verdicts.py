@@ -8,9 +8,11 @@ through `perfbench/client.execute`, once in this checkout and once in the
 other, each checkout in its own subprocess with its own `src/` and
 `perfbench/`.  A verdict is compared by its decided flag, its result (the
 word, or the outcome type with its witness, or the exception type with
-`explored` and `phase`) and `dra1`.  The search statistics of an outcome
-(`explored`, `queued`, `pruned`) count work, not answers, so by default they
-are not compared: a change to a search's pruning moves them by design.
+`explored` and `phase`, or an abstract set's configurations and word data
+count, whatever its class) and `dra1`.  The search statistics of an
+outcome (`explored`, `queued`, `pruned`) count work, not answers, so by
+default they are not compared: a change to a search's pruning moves them
+by design.
 `--same-stats explored,pruned` compares the listed statistics too, for a
 change that claims not to move them.  Each differing query falls in one
 class: newly decided (only this checkout decided it), newly undecided
@@ -43,6 +45,11 @@ def _result(result, same_stats=()):
     if isinstance(result, BaseException):
         return (type(result).__name__, getattr(result, "explored", None),
                 getattr(result, "phase", None))
+    if hasattr(result, "configs") and hasattr(result, "word_data_count"):
+        # an abstract set, in the form of the dataclass it once was, so that
+        # checkouts on either side of that change compare by content
+        return (type(result).__name__, ("configs", tuple(result.configs)),
+                ("word_data_count", result.word_data_count))
     if dataclasses.is_dataclass(result):
         return (type(result).__name__,) + tuple(
             (f.name, getattr(result, f.name)) for f in dataclasses.fields(result)

@@ -30,6 +30,7 @@ from .semantics import (
     _Budget,
     _Exhausted,
     _search_bfs,
+    _ungrouped,
     bfs_path,
     check_configs,
     engine_for,
@@ -148,11 +149,16 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     # even if partial cleans keep re-dirtying locations (worst case it ends
     # in InconclusiveError rather than spinning).
     while True:
-        dirty = [c for c in current.configs if any(v < 0 for v in c[1])]
+        dirty = [(values, locs) for values, locs in current.groups.items()
+                 if any(v < 0 for v in values)]
         if not dirty:
             break
-        loc0 = dirty[0][0]  # configs are in tuple order: the least location
-        root = eng.mask_root(c for c in dirty if c[0] == loc0)
+        dirty_locs = 0
+        for _, locs in dirty:
+            dirty_locs |= locs
+        loc0 = (dirty_locs & -dirty_locs).bit_length() - 1  # the least dirty location
+        root = eng.mask_root((loc0, values) for values in sorted(
+            values for values, locs in dirty if locs >> loc0 & 1))
         try:
             path = _search_bfs(eng, root, current.word_data_count, clean, None, k, budget)
         except _Exhausted:
@@ -166,7 +172,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
         for letter, choice in path:
             current = eng.abstract_post(current, letter, choice)
     word = instantiate_choice_word(tuple(choices), range(k))
-    residual = frozenset((loc, values) for loc, values in current.configs)
+    residual = frozenset(_ungrouped(current.groups))
     return ShrinkResult(word, residual)
 
 

@@ -116,8 +116,9 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
     if budget.max_length < 1:
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
     eng = engine_for(aut)
-    return _search(eng, eng.abstract_initial().configs, eng.mask_synchronized, budget,
-                   empty_word=False)
+    root = [(loc, values) for loc in range(eng.n_locations)
+            for values in initial_valuations(eng.k)]
+    return _search(eng, root, eng.mask_synchronized, budget, empty_word=False)
 
 
 def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
@@ -139,7 +140,7 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
         return not any(mask & eng.location_masks[loc] for loc in accepting)
 
     initial = aut.acceptance.initial
-    root = [c for c in eng.abstract_initial().configs if c[0] == initial]
+    root = [(initial, values) for values in initial_valuations(eng.k)]
     return _search(eng, root, rejected, SearchBudget(bound, None, max_nodes),
                    empty_word=True)
 
@@ -158,6 +159,7 @@ def accepts(aut: RegisterAutomaton, word) -> bool:
     if aut.acceptance is None:
         raise ValueError("accepts needs acceptance structure")
     eng = engine_for(aut)  # validates, including the initial-update rule
+    word = tuple(word)
     check_letters(aut, word)
     acc = aut.acceptance
     if not word:

@@ -42,7 +42,9 @@ every automaton parsed from one text and emptied at ra.FIRING_TABLE_CAP
 entries.  `abstract_post` steps an abstract set this way, for
 `abstract_run` (the `run` query) and the DRA shrink's replay of each word
 it found; `post_set` steps a concrete set (membership, the DRA merge
-replay).
+replay).  An AbstractConfigSet holds the grouped form itself, so each step
+reads the groups the last one wrote, and a set's sorted configurations
+are built only when read.
 
 `_search_bfs` is the one breadth-first search over abstract sets, for the
 bounded NRA searches and the DRA shrink alike.  It prunes masks by
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .ra import RegisterAutomaton, StructuralError
@@ -123,15 +124,75 @@ def instantiate_choice_word(cword, pool) -> tuple:
 # Abstract configuration sets
 
 
-@dataclass(frozen=True)
 class AbstractConfigSet:
-    # (location, values) pairs, each with its blocks numbered in first-
-    # occurrence order, without duplicates, in plain tuple order
-    configs: tuple
-    word_data_count: int
+    """A set of abstract configurations, (location, values) pairs each with
+    its blocks numbered in first-occurrence order, and the number of word
+    data read so far.
+
+    Its representation is `groups`, a dict from each valuation to the mask
+    of the locations holding it: the form `Engine.abstract_post` steps, so a
+    walk never regroups or sorts between steps.  `configs`, the pairs in
+    sorted order without duplicates, is built on first read and kept.  A set
+    built from configs keeps them untouched until `groups` is first read, so
+    `check_configs` can still reject a location no mask could hold.
+    Equality and the hash read `word_data_count` and `groups`; `groups` must
+    not be mutated."""
+
+    __slots__ = ("_m", "_given", "_groups", "_configs", "_hash")
+
+    def __init__(self, configs, word_data_count: int):
+        self._m = word_data_count
+        self._given = configs
+        self._groups = None
+        self._configs = None
+        self._hash = None
+
+    @classmethod
+    def from_groups(cls, groups: dict, word_data_count: int) -> "AbstractConfigSet":
+        """The set whose `groups` is `groups`, a dict from valuations to
+        nonzero location masks."""
+        aset = cls(None, word_data_count)
+        aset._groups = groups
+        return aset
+
+    @property
+    def word_data_count(self) -> int:
+        return self._m
+
+    @property
+    def groups(self) -> dict:
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = _grouped(self._given)
+            self._given = None
+        return groups
+
+    @property
+    def configs(self) -> tuple:
+        configs = self._configs
+        if configs is None:
+            if self._groups is None:
+                configs = self._given = tuple(sorted(set(self._given)))
+            else:
+                configs = tuple(sorted(_ungrouped(self._groups)))
+            self._configs = configs
+        return configs
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return sum(locs.bit_count() for locs in self.groups.values())
+
+    def __eq__(self, other):
+        if not isinstance(other, AbstractConfigSet):
+            return NotImplemented
+        return self._m == other._m and self.groups == other.groups
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._m, frozenset(self.groups.items())))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"AbstractConfigSet(configs={self.configs!r}, word_data_count={self._m!r})"
 
 
 def _canon_values(values) -> tuple:
@@ -156,10 +217,11 @@ def canonicalize(aset: AbstractConfigSet) -> AbstractConfigSet:
 
 def is_synchronized(aset: AbstractConfigSet) -> bool:
     """Exactly one configuration and no symbolic value in it."""
-    if len(aset.configs) != 1:
+    groups = aset.groups
+    if len(groups) != 1:
         return False
-    _, values = aset.configs[0]
-    return all(v >= 0 for v in values)
+    (values, locs), = groups.items()
+    return locs & (locs - 1) == 0 and all(v >= 0 for v in values)
 
 
 def _partitions(k: int):
@@ -339,9 +401,8 @@ class Engine:
     # -- abstract ----------------------------------------------------------
 
     def abstract_initial(self) -> AbstractConfigSet:
-        valuations = initial_valuations(self.k)
-        return AbstractConfigSet(tuple((loc, values) for loc in range(self.n_locations)
-                                       for values in valuations), 0)
+        return AbstractConfigSet.from_groups(
+            dict.fromkeys(initial_valuations(self.k), (1 << self.n_locations) - 1), 0)
 
     def abstract_post(self, aset: AbstractConfigSet, letter: int, choice: int) -> AbstractConfigSet:
         m = aset.word_data_count
@@ -358,7 +419,7 @@ class Engine:
         # come from the split table and each write from the write table
         firing, fire = self.firing, self.fire
         out = {}
-        for values, locs in _grouped(aset.configs).items():
+        for values, locs in aset.groups.items():
             if fresh:
                 variants = _SPLITS.get((values, inp)) or _fresh_split(values, inp)
             else:
@@ -381,7 +442,7 @@ class Engine:
                     else:
                         nv = vals
                     out[nv] = out.get(nv, 0) | targets
-        return AbstractConfigSet(tuple(sorted(_ungrouped(out))), new_m)
+        return AbstractConfigSet.from_groups(out, new_m)
 
     def _abstract_successors(self, config, letter: int, inp: int, fresh: bool) -> set:
         """The canonical successors of one canonical abstract configuration

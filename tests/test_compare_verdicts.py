@@ -1,7 +1,11 @@
+import dataclasses
+import importlib.util
 import pathlib
 import shutil
 import subprocess
 import sys
+
+from regsync.semantics import AbstractConfigSet, sym
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_verdicts.py"
@@ -106,3 +110,26 @@ def test_same_stats_rejects_an_unknown_statistic():
     done = compare(ROOT, 1, "--same-stats", "explored,nodes")
     assert done.returncode == 2
     assert "unknown statistic 'nodes'" in done.stderr
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("compare_verdicts", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_abstract_sets_compare_by_content():
+    """An abstract set's signature is the one its former dataclass form had,
+    so a checkout from before the change agrees with one after it."""
+    script = load_script()
+    legacy = dataclasses.make_dataclass(
+        "AbstractConfigSet", [("configs", tuple), ("word_data_count", int)], frozen=True)
+    configs = ((0, (sym(0), 1)), (2, (0, 0)))
+    want = script._result(legacy(configs, 2))
+    assert want == ("AbstractConfigSet", ("configs", configs), ("word_data_count", 2))
+    assert script._result(AbstractConfigSet(configs[::-1] + configs, 2)) == want
+    groups = {(sym(0), 1): 1 << 0, (0, 0): 1 << 2}
+    assert script._result(AbstractConfigSet.from_groups(groups, 2)) == want
+    assert script._result(AbstractConfigSet.from_groups(groups, 1)) != want
+    assert repr(script._result(AbstractConfigSet(configs, 2))) == repr(want)

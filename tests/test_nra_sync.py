@@ -276,6 +276,9 @@ class TestAccepts:
             acceptance=("init", ["acc"]))
         assert not accepts(aut, ())
         assert accepts(aut, ((0, 5),)) and accepts(aut, ((0, 5), (1, 5)))
+        # any iterable is a word, as in post_set and abstract_run
+        assert accepts(aut, iter(((0, 5), (1, 5)))) and not accepts(aut, iter(()))
+        assert accepts(aut, [(0, 5)]) and not accepts(aut, iter(((1, 5), (0, 5))))
         for word in (((1, 5),), ((1, 5), (0, 5)), ((1, 5), (1, 5))):
             assert not accepts(aut, word) and not reference_accepts(aut, word)
 

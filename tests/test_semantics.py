@@ -92,6 +92,73 @@ class TestCanonicalize:
         assert canonicalize(once) == once
 
 
+class TestAbstractConfigSet:
+    """A set's representation is its groups, a dict from valuation to the
+    mask of the locations holding it; `configs` is built from them on first
+    read."""
+
+    @staticmethod
+    def random_configs(rng):
+        """Up to 10 configurations over 4 locations and k = 2, with
+        duplicates, in random order."""
+        pool = [(rng.randrange(4), (rng.randint(-2, 1), rng.randint(-2, 1)))
+                for _ in range(rng.randint(0, 6))]
+        return [rng.choice(pool) for _ in range(rng.randint(0, 10))] if pool else []
+
+    def test_configs_and_groups_build_equal_sets(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            configs = self.random_configs(rng)
+            m = rng.randint(0, 2)
+            groups = {}
+            for loc, values in rng.sample(configs, len(configs)):
+                groups[values] = groups.get(values, 0) | 1 << loc
+            from_configs = AbstractConfigSet(tuple(configs), m)
+            from_groups = AbstractConfigSet.from_groups(groups, m)
+            shuffled = AbstractConfigSet(tuple(rng.sample(configs, len(configs))), m)
+            assert from_configs == from_groups == shuffled
+            assert hash(from_configs) == hash(from_groups) == hash(shuffled)
+            assert from_groups != AbstractConfigSet.from_groups(groups, m + 1)
+            assert from_configs.groups == groups
+
+    def test_configs_are_sorted_without_duplicates(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            configs = self.random_configs(rng)
+            want = tuple(sorted(set(configs)))
+            aset = AbstractConfigSet(tuple(configs), 0)
+            assert aset.configs == want and len(aset) == len(want)
+            regrouped = AbstractConfigSet.from_groups(aset.groups, 0)
+            assert len(regrouped) == len(want) and regrouped.configs == want
+            assert is_synchronized(aset) == (len(want) == 1 and min(want[0][1]) >= 0)
+
+    def test_a_walk_sorts_only_the_set_it_returns(self):
+        aut = gen_chain_dra(2)
+        eng = Engine(aut)
+        seen = []
+        step = eng.abstract_post
+
+        def recording_post(aset, letter, choice):
+            out = step(aset, letter, choice)
+            seen.extend((aset, out))
+            return out
+
+        eng.abstract_post = recording_post
+        cword = ((0, FRESH), (0, 0), (0, FRESH), (0, 1), (0, 0), (0, FRESH)) * 2
+        out = eng.abstract_run(cword)
+        assert len(seen) == 24 and seen[-1] is out
+        assert all(aset._configs is None for aset in seen)
+        assert out.configs == tuple(sorted(out.configs))
+        assert [aset._configs is not None for aset in seen] == [False] * 23 + [True]
+
+    def test_repr_and_a_read_only_word_data_count(self):
+        aset = AbstractConfigSet(((1, (0,)), (0, (sym(0),)), (1, (0,))), 1)
+        assert repr(aset) == ("AbstractConfigSet(configs=((0, (-1,)), (1, (0,))), "
+                              "word_data_count=1)")
+        with pytest.raises(AttributeError):
+            aset.word_data_count = 2
+
+
 class TestAbstractInitial:
     def test_bell_2(self):
         aut = random_complete_automaton(random.Random(0), 2, 2, 1)
