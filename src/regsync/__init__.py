@@ -22,7 +22,6 @@ from .ra import (
     StructuralError,
     Transition,
     TrueC,
-    apply_update,
     complete_with_sink,
     conj,
     disj,
@@ -41,9 +40,7 @@ from .semantics import (
     abstract_initial,
     abstract_post,
     abstract_run,
-    canonicalize,
     choice_of_word,
-    data_efficiency,
     instantiate_choice_word,
     is_synchronized,
     post_config,

@@ -157,8 +157,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
         for _, locs in dirty:
             dirty_locs |= locs
         loc0 = (dirty_locs & -dirty_locs).bit_length() - 1  # the least dirty location
-        root = eng.mask_root((loc0, values) for values in sorted(
-            values for values, locs in dirty if locs >> loc0 & 1))
+        root = eng.mask_root((loc0, values) for values, locs in dirty if locs >> loc0 & 1)
         try:
             path = _search_bfs(eng, root, current.word_data_count, clean, None, k, budget)
         except _Exhausted:

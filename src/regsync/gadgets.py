@@ -530,7 +530,7 @@ def reduce_sync_to_nonuniv(aut: RegisterAutomaton) -> RegisterAutomaton:
 # Ackermann hierarchy
 
 
-def ackermann(level: int, n: int, cap: int = ACKERMANN_CAP) -> int:
+def ackermann(level: int, n: int) -> int:
     """A_1(n) = 2n, A_{level+1}(n) = A_level applied n times to 1."""
     if level < 1:
         raise ValueError("ackermann level must be >= 1")
@@ -538,12 +538,12 @@ def ackermann(level: int, n: int, cap: int = ACKERMANN_CAP) -> int:
         raise ValueError("ackermann argument must be >= 0")
     if level == 1:
         value = 2 * n
-        if value > cap:
-            raise ResourceCapError(f"ackermann value exceeds cap {cap}")
+        if value > ACKERMANN_CAP:
+            raise ResourceCapError(f"ackermann value exceeds cap {ACKERMANN_CAP}")
         return value
     value = 1
     for _ in range(n):
-        value = ackermann(level - 1, value, cap)
+        value = ackermann(level - 1, value)
     return value
 
 

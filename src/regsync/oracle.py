@@ -5,7 +5,9 @@ Deliberately naive and independent of the symbolic abstraction in
 pool.  Soundness of the finite restriction: an initial valuation using data
 outside the pool behaves, up to a bijection fixing the word's data, like one
 over the adjoined fresh data, so L x Z^k with Z = data(word) + k fresh data
-suffices to decide whether a word synchronizes.
+suffices to decide whether a word synchronizes.  That is why the extra
+initial data are always exactly k: the word search starts from L x Z^k with
+Z = the data pool + k fresh data.
 
 Word searches enumerate data words up to bijection (FRESH entries take the
 next unused pool value), keyed by the pair (successor set, number of used
@@ -17,7 +19,7 @@ search saturates and the "no word" answer is exact rather than bounded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .ra import RegisterAutomaton, ResourceCapError, eval_constraint
@@ -29,14 +31,12 @@ DEFAULT_ORACLE_NODES = 2_000_000
 class OracleParams:
     max_length: int
     data_pool_size: int
-    initial_extra_data: Optional[int] = None  # defaults to k
-    max_nodes: int = DEFAULT_ORACLE_NODES
-    concrete_enumeration: bool = False
+    max_nodes: int = field(default=DEFAULT_ORACLE_NODES, kw_only=True)
 
     def __post_init__(self):
-        for name in ("max_length", "data_pool_size", "initial_extra_data", "max_nodes"):
+        for name in ("max_length", "data_pool_size", "max_nodes"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
@@ -65,22 +65,26 @@ def _post_once(aut: RegisterAutomaton, configs, letter: int, datum: int, memo) -
     return frozenset(out)
 
 
-def oracle_post(aut: RegisterAutomaton, word) -> frozenset:
-    """post(L x Z^k, word) by concrete enumeration, Z = data(word) + k fresh."""
+def _start(aut: RegisterAutomaton, pool) -> frozenset:
+    """L x pool^k: every location with every valuation over `pool`."""
     k = aut.registers
-    data = sorted({d for _, d in word})
-    top = max(data, default=-1) + 1
-    pool = data + [top + i for i in range(k)]
-    current = set()
+    out = set()
     stack = [(loc, ()) for loc in range(len(aut.locations))]
     while stack:
         loc, values = stack.pop()
         if len(values) == k:
-            current.add((loc, values))
+            out.add((loc, values))
         else:
             stack.extend((loc, values + (d,)) for d in pool)
+    return frozenset(out)
+
+
+def oracle_post(aut: RegisterAutomaton, word) -> frozenset:
+    """post(L x Z^k, word) by concrete enumeration, Z = data(word) + k fresh."""
+    data = sorted({d for _, d in word})
+    top = max(data, default=-1) + 1
+    current = _start(aut, data + [top + i for i in range(aut.registers)])
     memo = {}
-    current = frozenset(current)
     for letter, datum in word:
         current = _post_once(aut, current, letter, datum, memo)
     return current
@@ -90,22 +94,13 @@ def oracle_is_synchronizing(aut: RegisterAutomaton, word) -> bool:
     return len(oracle_post(aut, word)) == 1
 
 
-def _search(aut: RegisterAutomaton, max_length: int, pool_size: int,
-            extra: Optional[int], max_nodes: int) -> OracleSearch:
-    """Shortest synchronizing word over pool data {0..pool_size-1}, BFS."""
-    k = aut.registers
-    extra = k if extra is None else extra
-    pool = list(range(pool_size + extra))
-    initial = set()
-    stack = [(loc, ()) for loc in range(len(aut.locations))]
-    while stack:
-        loc, values = stack.pop()
-        if len(values) == k:
-            initial.add((loc, values))
-        else:
-            stack.extend((loc, values + (d,)) for d in pool)
+def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
+    """Shortest synchronizing word over pool data {0..data_pool_size-1}, BFS
+    from L x Z^k with Z = the pool + k fresh data."""
+    max_length, max_nodes = params.max_length, params.max_nodes
+    pool_size = params.data_pool_size
     memo = {}
-    root = (frozenset(initial), 0)
+    root = (_start(aut, range(pool_size + aut.registers)), 0)
     parents = {root: None}
     frontier = deque([(root, 0)])
     explored = 0
@@ -136,35 +131,6 @@ def _search(aut: RegisterAutomaton, max_length: int, pool_size: int,
                     return OracleSearch(depth + 1, tuple(word), False, explored)
                 frontier.append((state, depth + 1))
     return OracleSearch(None, None, saturated, explored)
-
-
-def _search_concrete(aut: RegisterAutomaton, max_length: int, pool_size: int,
-                     extra: Optional[int], max_nodes: int) -> OracleSearch:
-    """Third cross-check: plain enumeration of words over the full pool."""
-    explored = 0
-    for length in range(1, max_length + 1):
-        stack = [()]
-        while stack:
-            word = stack.pop()
-            if len(word) == length:
-                explored += 1
-                if explored > max_nodes:
-                    raise ResourceCapError(f"oracle enumeration exceeded {max_nodes} words")
-                if oracle_is_synchronizing(aut, word):
-                    return OracleSearch(length, word, False, explored)
-                continue
-            for letter in range(len(aut.alphabet)):
-                for datum in range(pool_size):
-                    stack.append(word + ((letter, datum),))
-    return OracleSearch(None, None, False, explored)
-
-
-def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
-    if params.concrete_enumeration:
-        return _search_concrete(aut, params.max_length, params.data_pool_size,
-                                params.initial_extra_data, params.max_nodes)
-    return _search(aut, params.max_length, params.data_pool_size,
-                   params.initial_extra_data, params.max_nodes)
 
 
 def oracle_min_length(aut: RegisterAutomaton, params: OracleParams) -> Optional[int]:

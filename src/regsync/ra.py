@@ -175,14 +175,6 @@ def guard_mask(guard: Constraint, k: int) -> int:
     return mask(guard)
 
 
-def apply_update(valuation: Valuation, update, datum: Datum) -> Valuation:
-    """valuation[update := datum]."""
-    for r in update:
-        if not 0 <= r < len(valuation):
-            raise StructuralError(f"update register r{r} out of range for k={len(valuation)}")
-    return tuple(datum if j in update else v for j, v in enumerate(valuation))
-
-
 # ---------------------------------------------------------------------------
 # Automata
 
@@ -210,18 +202,11 @@ class RegisterAutomaton:
     transitions: tuple
     acceptance: Optional[Acceptance] = None
 
-    @property
-    def k(self) -> int:
-        return self.registers
-
     def location_index(self, name: str) -> int:
         return self.locations.index(name)
 
     def letter_index(self, name: str) -> int:
         return self.alphabet.index(name)
-
-    def all_registers(self) -> frozenset:
-        return frozenset(range(self.registers))
 
     @cached_property
     def compiled(self) -> "CompiledAutomaton":
@@ -281,7 +266,7 @@ def validate(aut: RegisterAutomaton) -> list:
         for loc in acc.accepting:
             if not 0 <= loc < n_loc:
                 diags.append(Diagnostic("dangling-id", f"accepting location {loc} out of range"))
-        full = aut.all_registers()
+        full = frozenset(range(aut.registers))
         for i, t in enumerate(aut.transitions):
             if 0 <= acc.initial < n_loc and t.source == acc.initial and t.update != full:
                 diags.append(Diagnostic(

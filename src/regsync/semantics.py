@@ -76,27 +76,20 @@ def sym(block: int) -> int:
 
 def word_data(word) -> list:
     """Distinct data of a data word, in order of first occurrence."""
-    out = []
-    for _, d in word:
-        if d not in out:
-            out.append(d)
-    return out
-
-
-def data_efficiency(word) -> int:
-    return len(word_data(word))
+    return list(dict.fromkeys(d for _, d in word))
 
 
 def choice_of_word(word) -> tuple:
     """The canonical choice word of a data word (first-occurrence abstraction)."""
-    order = []
+    index = {}
     out = []
     for letter, d in word:
-        if d in order:
-            out.append((letter, order.index(d)))
-        else:
-            order.append(d)
+        i = index.get(d)
+        if i is None:
+            index[d] = len(index)
             out.append((letter, FRESH))
+        else:
+            out.append((letter, i))
     return tuple(out)
 
 
@@ -207,12 +200,6 @@ def _canon_values(values) -> tuple:
         else:
             out.append(v)
     return tuple(out)
-
-
-def canonicalize(aset: AbstractConfigSet) -> AbstractConfigSet:
-    """Canonical form: per-config Sym renumbering, dedup, fixed total order."""
-    configs = {(loc, _canon_values(values)) for loc, values in aset.configs}
-    return AbstractConfigSet(tuple(sorted(configs)), aset.word_data_count)
 
 
 def is_synchronized(aset: AbstractConfigSet) -> bool:

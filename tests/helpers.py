@@ -12,6 +12,7 @@ import pytest
 
 from regsync import semantics
 from regsync.dsl import MAX_GUARD_DEPTH, DslError, ParseDiagnostic, SourceDocument
+from regsync.oracle import DEFAULT_ORACLE_NODES, OracleSearch, oracle_is_synchronizing
 from regsync.ra import (
     REGISTER_ENUMERATION_CAP,
     TRUE,
@@ -20,6 +21,7 @@ from regsync.ra import (
     Eq,
     Not,
     RegisterAutomaton,
+    ResourceCapError,
     conj,
     disj,
     guard_registers,
@@ -368,6 +370,60 @@ def reference_accepts(aut, word) -> bool:
     for letter, choice in choice_of_word(word):
         aset = eng.abstract_post(aset, letter, choice)
     return any(loc in acc.accepting for loc, _ in aset.configs)
+
+
+def reference_word_data(word) -> list:
+    """Reference for semantics.word_data: a list scan per datum."""
+    out = []
+    for _, d in word:
+        if d not in out:
+            out.append(d)
+    return out
+
+
+def reference_choice_of_word(word) -> tuple:
+    """Reference for semantics.choice_of_word: each datum's index in the
+    list of data seen so far, or FRESH."""
+    order = []
+    out = []
+    for letter, d in word:
+        if d in order:
+            out.append((letter, order.index(d)))
+        else:
+            order.append(d)
+            out.append((letter, FRESH))
+    return tuple(out)
+
+
+def canonicalize(aset: AbstractConfigSet) -> AbstractConfigSet:
+    """Canonical form of an abstract set: per-config Sym renumbering, dedup,
+    fixed total order.  Every set the Engine builds is its own canonical
+    form."""
+    configs = {(loc, _canon_values(values)) for loc, values in aset.configs}
+    return AbstractConfigSet(tuple(sorted(configs)), aset.word_data_count)
+
+
+def oracle_search_concrete(aut, max_length, pool_size,
+                           max_nodes=DEFAULT_ORACLE_NODES) -> OracleSearch:
+    """Reference for oracle.oracle_search: plain enumeration of every word
+    over the full pool {0..pool_size-1}, shortest first, each checked with
+    oracle_is_synchronizing."""
+    explored = 0
+    for length in range(1, max_length + 1):
+        stack = [()]
+        while stack:
+            word = stack.pop()
+            if len(word) == length:
+                explored += 1
+                if explored > max_nodes:
+                    raise ResourceCapError(f"oracle enumeration exceeded {max_nodes} words")
+                if oracle_is_synchronizing(aut, word):
+                    return OracleSearch(length, word, False, explored)
+                continue
+            for letter in range(len(aut.alphabet)):
+                for datum in range(pool_size):
+                    stack.append(word + ((letter, datum),))
+    return OracleSearch(None, None, False, explored)
 
 
 def reference_post_set(eng, configs, word) -> frozenset:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from regsync.oracle import (
     oracle_search,
 )
 from regsync.ra import TRUE, RegisterAutomaton, mk_transition
-from helpers import random_complete_automaton
+from helpers import oracle_search_concrete, random_complete_automaton
 
 
 def full_update_singleton():
@@ -38,6 +39,16 @@ class TestIsSynchronizing:
         word = ((0, 1), (0, 2), (0, 3), (0, 4))
         post = oracle_post(aut, word)
         assert post == frozenset({(aut.location_index("synch"), (4, 4, 4))})
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_empty_word_post_is_every_start_configuration(self, k):
+        # L x Z^k with Z = k fresh data, as oracle_search starts from
+        aut = RegisterAutomaton("two", ("p", "q"), k, ("a",),
+                                tuple(mk_transition(i, 0, TRUE, range(k), i) for i in (0, 1)))
+        expected = {(loc, values) for loc in (0, 1)
+                    for values in itertools.product(range(k), repeat=k)}
+        assert oracle_post(aut, ()) == expected
+        assert oracle_is_synchronizing(aut, ()) is False
 
     def test_bijection_invariance(self):
         rng = random.Random(3)
@@ -81,15 +92,14 @@ class TestMinima:
         assert result.found_length is None
         assert result.saturated
 
-    def test_concrete_enumeration_cross_check(self):
-        rng = random.Random(9)
+    @pytest.mark.parametrize("k, n_letters, seed", [(1, 1, 9), (2, 1, 10), (2, 2, 10)])
+    def test_concrete_enumeration_cross_check(self, k, n_letters, seed):
+        rng = random.Random(seed)
         for _ in range(10):
-            aut = random_complete_automaton(rng, 2, 1, 1, deterministic=True)
+            aut = random_complete_automaton(rng, 2, k, n_letters, deterministic=True)
             fast = oracle_search(aut, OracleParams(3, 2))
-            slow = oracle_search(aut, OracleParams(3, 2, concrete_enumeration=True))
-            assert (fast.found_length is None) == (slow.found_length is None)
-            if fast.found_length is not None:
-                assert fast.found_length == slow.found_length
+            slow = oracle_search_concrete(aut, 3, 2)
+            assert fast.found_length == slow.found_length
 
     def test_search_witness_is_synchronizing(self, fig4):
         result = oracle_search(fig4, OracleParams(3, 3))
@@ -98,16 +108,21 @@ class TestMinima:
 
 
 class TestParams:
-    @pytest.mark.parametrize("field, args", [
-        ("max_length", (-1, 2)),
-        ("data_pool_size", (2, -1)),
-        ("initial_extra_data", (2, 2, -1)),
-        ("max_nodes", (2, 2, None, -1)),
+    @pytest.mark.parametrize("field, args, kwargs", [
+        ("max_length", (-1, 2), {}),
+        ("data_pool_size", (2, -1), {}),
+        ("max_nodes", (2, 2), {"max_nodes": -1}),
     ])
-    def test_negative_bound_is_a_value_error(self, field, args):
+    def test_negative_bound_is_a_value_error(self, field, args, kwargs):
         with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
-            OracleParams(*args)
+            OracleParams(*args, **kwargs)
 
     def test_zero_bounds_are_allowed(self):
-        params = OracleParams(0, 0, 0, 0)
+        params = OracleParams(0, 0, max_nodes=0)
         assert oracle_min_length(full_update_singleton(), params) is None
+
+    def test_node_budget_is_keyword_only(self):
+        # the extra initial data are always k, so no third positional
+        # argument is accepted; it must not silently become the node budget
+        with pytest.raises(TypeError):
+            OracleParams(2, 2, 1)

@@ -10,7 +10,6 @@ from regsync.ra import (
     Eq,
     Not,
     StructuralError,
-    apply_update,
     complete_with_sink,
     completeness_gap,
     determinism_conflict,
@@ -94,7 +93,7 @@ class TestCompiledMasks:
 
         monkeypatch.setattr(ra, "guard_mask", counting)
         aut = parse_automaton(self.TEXT)
-        assert aut.compiled.masks == tuple(guard_mask(t.guard, aut.k) for t in aut.transitions)
+        assert aut.compiled.masks == tuple(guard_mask(t.guard, aut.registers) for t in aut.transitions)
         assert len(calls) == 3  # "=r0 & !=r1", "!(=r0 & !=r1)" and "true"
         # Another document with the same guard texts shares their guards and masks.
         other = parse_automaton(self.TEXT.replace("automaton t", "automaton u")
@@ -141,21 +140,6 @@ class TestTransition:
         assert repr(mk_transition(0, 1, Not(Eq(2)), {1}, 3)) == (
             "Transition(source=0, letter=1, guard=Not(operand=Eq(register=2)), "
             "update=frozenset({1}), target=3)")
-
-
-class TestApplyUpdate:
-    def test_single(self):
-        assert apply_update((1, 2, 3), {0}, 9) == (9, 2, 3)
-
-    def test_empty_is_identity(self):
-        assert apply_update((1, 2, 3), set(), 9) == (1, 2, 3)
-
-    def test_full(self):
-        assert apply_update((1, 2, 3), {0, 1, 2}, 7) == (7, 7, 7)
-
-    def test_out_of_range(self):
-        with pytest.raises(StructuralError):
-            apply_update((1,), {3}, 0)
 
 
 class TestValidate:

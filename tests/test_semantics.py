@@ -16,9 +16,7 @@ from regsync.semantics import (
     abstract_initial,
     abstract_post,
     abstract_run,
-    canonicalize,
     choice_of_word,
-    data_efficiency,
     instantiate_choice_word,
     is_synchronized,
     post_config,
@@ -28,10 +26,13 @@ from regsync.semantics import (
 )
 from helpers import (
     all_choice_words,
+    canonicalize,
     kernel_tables,
     random_complete_automaton,
     reference_abstract_successors,
+    reference_choice_of_word,
     reference_post_set,
+    reference_word_data,
 )
 
 
@@ -61,8 +62,12 @@ class TestChoiceWords:
         assert cword == ((0, FRESH), (1, 0), (0, FRESH), (1, 0), (0, FRESH))
         assert instantiate_choice_word(cword, word_data(word)) == word
 
-    def test_data_efficiency(self):
-        assert data_efficiency(((0, 5), (0, 5), (0, 6))) == 2
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 6)), max_size=30))
+    def test_word_helpers_match_the_list_scans(self, raw):
+        # few distinct data over many entries, so most data repeat
+        word = tuple(raw)
+        assert word_data(word) == reference_word_data(word)
+        assert choice_of_word(word) == reference_choice_of_word(word)
 
 
 class TestCanonicalize:
@@ -187,6 +192,18 @@ class TestPost:
         aut = RegisterAutomaton("loop", ("q",), 2, ("a",),
                                 (mk_transition(0, 0, TRUE, {0, 1}, 0),))
         assert post_config(aut, (0, (1, 2)), (0, 7)) == {(0, (7, 7))}
+
+    @pytest.mark.parametrize("update, expected", [
+        ({0}, (9, 2, 3)),
+        (set(), (1, 2, 3)),
+        ({0, 1, 2}, (9, 9, 9)),
+    ], ids=["single", "empty_is_identity", "full"])
+    def test_update_writes_the_datum_into_its_registers_only(self, update, expected):
+        # valuation[update := datum], on the one concrete step
+        aut = RegisterAutomaton("upd", ("q",), 3, ("a",),
+                                (mk_transition(0, 0, TRUE, update, 0),))
+        assert post_config(aut, (0, (1, 2, 3)), (0, 9)) == {(0, expected)}
+        assert post_set(aut, {(0, (1, 2, 3))}, ((0, 9),)) == {(0, expected)}
 
     def test_incomplete_cell_empty(self):
         aut = RegisterAutomaton("gap", ("q",), 1, ("a",),
