@@ -8,7 +8,8 @@ states) a search added to its dedup table and pruned the sets it dropped by
 subsumption.  A bounded sync or universality search stores the root, the
 sets found above its last layer and a witness found on it, but not the
 last layer's other sets.  An inconclusive sync-dra adds stats.phase, the
-search that ran out ("shrink" or "merge").
+search that ran out ("shrink" or "merge").  Text reports print an empty
+witness word as EMPTY_WORD; JSON keeps it as "".
 REGSYNC_MAX_NODES sets the default node budget.
 """
 
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+# An empty witness word in text reports, which a blank line would hide.
+EMPTY_WORD = "ε"
 
 
 @dataclass
@@ -53,7 +56,7 @@ class Report:
             return json.dumps(payload, indent=2)
         out = []
         if self.witness is not None:
-            out.append(self.witness)
+            out.append(self.witness or EMPTY_WORD)
         out.extend(self.lines)
         out.append(self.outcome)
         return "\n".join(out)

@@ -19,7 +19,11 @@ Membership (`accepts`) needs no abstraction.  Every transition leaving the
 initial location updates all registers, so the existential initial valuation
 only decides which transitions the first letter may fire, and it may fire
 each one; after that letter every register holds a word datum, and the rest
-of the word is a concrete walk over configuration sets.
+of the word is a concrete walk over configuration sets.  The walk forgets
+each datum after the last letter that reads it (`semantics.DEAD` takes its
+place): a guard compares registers with the input only, so data the word
+has finished with act alike, and valuations that differ only in them
+merge.  Membership reads only the final locations, so it stays exact.
 
 The general synchronization problem for NRAs is undecidable, so only
 bounded-exact and budget-limited modes exist here.
@@ -33,9 +37,11 @@ from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
+    DEAD,
     Engine,
     _Budget,
     _Exhausted,
+    _grouped,
     _search_bfs,
     bfs_path,
     check_letters,
@@ -154,7 +160,9 @@ def accepts(aut: RegisterAutomaton, word) -> bool:
     first datum can meet every atom assignment there and the first letter
     fires every transition of its initial cell, each landing with all
     registers holding that datum.  From then on nothing is symbolic, and the
-    rest of the word is a concrete set walk (`Engine.post_set`).
+    rest of the word is a concrete set walk (`Engine.walk`) that forgets
+    each datum after the last letter reading it.  Only the final locations
+    are read, so forgetting is exact (see the module docstring).
     """
     if aut.acceptance is None:
         raise ValueError("accepts needs acceptance structure")
@@ -164,9 +172,12 @@ def accepts(aut: RegisterAutomaton, word) -> bool:
     acc = aut.acceptance
     if not word:
         return acc.initial in acc.accepting
-    letter, datum = word[0]
-    start = {(target, (datum,) * eng.k) for _, _, target in eng.table[acc.initial][letter]}
-    return any(loc in acc.accepting for loc, _ in eng.post_set(start, word[1:]))
+    (letter, datum), rest = word[0], word[1:]
+    last = {d: position for position, (_, d) in enumerate(rest)}
+    values = (datum if datum in last else DEAD,) * eng.k
+    start = _grouped((target, values) for _, _, target in eng.table[acc.initial][letter])
+    accepting = sum(1 << loc for loc in acc.accepting)
+    return any(locs & accepting for locs in eng.walk(start, rest, last).values())
 
 
 def nonemptiness_witness(aut: RegisterAutomaton, bound: int,

@@ -41,10 +41,19 @@ and writes each update once per valuation.  The firing table is shared by
 every automaton parsed from one text and emptied at ra.FIRING_TABLE_CAP
 entries.  `abstract_post` steps an abstract set this way, for
 `abstract_run` (the `run` query) and the DRA shrink's replay of each word
-it found; `post_set` steps a concrete set (membership, the DRA merge
-replay).  An AbstractConfigSet holds the grouped form itself, so each step
-reads the groups the last one wrote, and a set's sorted configurations
-are built only when read.
+it found; `walk`, the one concrete set step, steps a concrete set
+(membership, and through `post_set` the DRA merge replay).  An
+AbstractConfigSet holds the grouped form itself, so each step reads the
+groups the last one wrote, and a set's sorted configurations are built
+only when read.
+
+`walk` may forget a datum after the last position of its word that reads
+it: it stores DEAD, an object equal to no datum, in its place.  A guard
+compares registers with the input only, so no later guard can tell dead
+data apart, the locations reached stay exact, and valuations that differ
+only in dead data merge.  Membership forgets; `post_set` keeps every
+datum, because the DRA merge replay hands its configurations to the next
+merge.
 
 `_search_bfs` is the one breadth-first search over abstract sets, for the
 bounded NRA searches and the DRA shrink alike.  It prunes masks by
@@ -62,6 +71,9 @@ from typing import Callable, Optional
 from .ra import RegisterAutomaton, StructuralError
 
 FRESH = -1
+# What a concrete walk stores in place of a datum its word no longer reads
+# (Engine.walk): an object equal to no datum, since callers choose the data.
+DEAD = object()
 
 # Entries an Engine's successor memo may hold before it is cleared.
 SUCCESSOR_MEMO_CAP = 100_000
@@ -355,20 +367,39 @@ class Engine:
 
     def post_set(self, configs, word) -> frozenset:
         """The configurations reached from the concrete `configs` along the
-        data word `word`.  This is the one concrete set step.  It walks the
-        set grouped by valuation: each valuation's sigma is computed once,
-        its location mask's transitions come from the firing table, and each
-        update is written once for all the targets it reaches."""
+        data word `word`, every datum kept."""
+        return frozenset(_ungrouped(self.walk(_grouped(configs), word, {})))
+
+    def walk(self, groups: dict, word, last: dict) -> dict:
+        """The grouped concrete set reached from `groups`, a dict from each
+        valuation to the mask of the locations holding it, along the data
+        word `word`: the one concrete set step.  Each valuation's sigma is
+        computed once, its location mask's transitions come from the firing
+        table, and each update is written once for all the targets it
+        reaches.  `last` maps a datum to the last position of `word` that
+        reads it; at that position sigma reads the datum, then DEAD takes
+        its place in the registers that held it and in those the step
+        writes (see the module docstring).  An empty `last` keeps every
+        datum."""
         firing, fire = self.firing, self.fire
-        groups = _grouped(configs)
-        for letter, datum in word:
+        for position, (letter, datum) in enumerate(word):
+            dies = last.get(datum) == position
+            written = DEAD if dies else datum
             out = {}
             for values, locs in groups.items():
                 sigma = 0
                 if datum in values:  # a datum no register holds needs no scan
-                    for j, v in enumerate(values):
-                        if v == datum:
-                            sigma |= 1 << j
+                    if dies:  # sigma reads the datum, then the valuation forgets it
+                        nv = list(values)
+                        for j, v in enumerate(values):
+                            if v == datum:
+                                sigma |= 1 << j
+                                nv[j] = DEAD
+                        values = tuple(nv)
+                    else:
+                        for j, v in enumerate(values):
+                            if v == datum:
+                                sigma |= 1 << j
                 key = (letter, sigma, locs)
                 fires = firing.get(key)
                 if fires is None:
@@ -377,13 +408,13 @@ class Engine:
                     if update:
                         nv = list(values)
                         for r in update:
-                            nv[r] = datum
+                            nv[r] = written
                         nv = tuple(nv)
                     else:
                         nv = values
                     out[nv] = out.get(nv, 0) | targets
             groups = out
-        return frozenset(_ungrouped(groups))
+        return groups
 
     # -- abstract ----------------------------------------------------------
 
@@ -402,7 +433,7 @@ class Engine:
                 raise StructuralError(f"Seen({choice}) with only {m} word data introduced")
             inp = choice
             new_m = m
-        # grouped by valuation, as in post_set; a fresh input's branches
+        # grouped by valuation, as in walk; a fresh input's branches
         # come from the split table and each write from the write table
         firing, fire = self.firing, self.fire
         out = {}

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from regsync.cli import main
+from regsync.cli import EMPTY_WORD, main
 from regsync.dsl import parse_automaton, serialize_automaton
 from regsync.gadgets import gen_chain_dra, gen_counter_nra
 from regsync.nra import SearchBudget, bounded_sync_search
@@ -337,6 +337,23 @@ class TestOtherCommands:
                         "trans q1 -> q1 on a when true\n")
         code, out, _ = run(capsys, "emptiness", str(path), "--bound", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("command, accepting", [
+        ("universality", ""), ("emptiness", " accepting")])
+    def test_empty_witness_is_visible(self, capsys, tmp_path, command, accepting):
+        """The empty word rejects when the initial location does not
+        accept, and is accepted when it does: text prints it as ε, not as a
+        blank line, and JSON keeps it as ""."""
+        path = tmp_path / "eps.ra"
+        path.write_text("automaton e\nregisters 1\nalphabet a\n"
+                        f"location q0 initial{accepting}\nlocation q1 accepting\n"
+                        "trans q0 -> q1 on a when true set *\n"
+                        "trans q1 -> q1 on a when true\n")
+        code, out, _ = run(capsys, command, str(path), "--bound", "3")
+        assert code == 0 and out.splitlines() == [EMPTY_WORD, "witness"]
+        code, out, _ = run(capsys, "--format", "json", command, str(path), "--bound", "3")
+        report = json.loads(out)
+        assert code == 0 and report["witness"] == "" and report["stats"]["depth"] == 0
 
     def test_run_word(self, capsys, chain2_file):
         code, out, _ = run(capsys, "run", chain2_file, "--word", "a:1 a:2 a:3")

@@ -20,6 +20,24 @@ from regsync.semantics import FRESH, abstract_run, engine_for, instantiate_choic
 from helpers import all_choice_words, automaton, random_complete_automaton, reference_accepts
 
 
+def dying_word(rng: random.Random, n_letters: int, length: int) -> tuple:
+    """A data word whose data mostly die early: each datum comes from a
+    window of three that moves on every few positions, or is read once, or
+    is one of -1, -7 and 10**30.  The first datum is read once half the
+    time."""
+    word = []
+    for position in range(length):
+        roll = rng.random()
+        if position == 0 and roll < 0.5 or 0.85 <= roll < 0.95:
+            datum = 10**6 + position  # read once
+        elif roll >= 0.95:
+            datum = rng.choice((-1, -7, 10**30))
+        else:
+            datum = position // 4 + rng.randrange(3)
+        word.append((rng.randrange(n_letters), datum))
+    return tuple(word)
+
+
 def full_update_loop():
     return RegisterAutomaton("easy", ("q",), 1, ("a",),
                              (mk_transition(0, 0, TRUE, {0}, 0),))
@@ -263,6 +281,47 @@ class TestAccepts:
                         assert verdict == reference_accepts(aut, word), (aut, word)
                         verdicts.add((k, sparse, verdict))
         assert len(verdicts) == 16  # both verdicts for every k and mode
+
+    def test_forgetting_walk_agrees_with_the_abstract_run(self):
+        """The walk forgets each datum after its last read; the reference
+        never forgets.  Words of length 0..40 draw most data from a window
+        that moves on, so most data die early, some data are read once,
+        the first datum often never recurs, and -1, -7 and 10**30 recur
+        among them: a sentinel taken from the data domain would be read as
+        one of them."""
+        rng = random.Random(73)
+        verdicts = set()
+        for k in range(4):
+            for sparse in (False, True):
+                for _ in range(12):
+                    aut = random_complete_automaton(rng, rng.randint(2, 4), k,
+                                                    rng.randint(1, 2), acceptance=True,
+                                                    sparse=sparse)
+                    for _ in range(6):
+                        word = dying_word(rng, len(aut.alphabet), rng.randint(0, 40))
+                        verdict = accepts(aut, word)
+                        assert verdict == reference_accepts(aut, word), (aut, word)
+                        verdicts.add((k, sparse, verdict))
+        assert len(verdicts) == 16  # both verdicts for every k and mode
+
+    def test_last_read_tests_the_datum_itself(self):
+        """s1 compares the input with r0, and keeps the input when they
+        differ: a datum's last read must still see it in r0, and a datum
+        stored at its last read must equal nothing later."""
+        aut = automaton(
+            "repeat", ["init", "s1", "acc"], 1, ["a"],
+            [("init", "a", TRUE, {0}, "s1"),
+             ("s1", "a", Eq(0), (), "acc"),
+             ("s1", "a", neq(0), {0}, "s1"),
+             ("acc", "a", TRUE, (), "acc")],
+            acceptance=("init", ["acc"]))
+        for data, want in (((5, 5), True), ((-1, -1), True), ((1, 2, 2), True),
+                           ((1, 2, 3), False), ((1, 2, 1), False), ((1, 2, 3, 2), False),
+                           ((-1, -7, 10**30, -7), False), ((10**30, -7, -7, 4), True),
+                           ((7,), False), ((), False)):
+            word = tuple((0, d) for d in data)
+            assert accepts(aut, word) is want, data
+            assert reference_accepts(aut, word) is want, data
 
     def test_empty_initial_cell(self):
         """No transition leaves the initial location on b, so no word

@@ -223,6 +223,32 @@ class TestPost:
         out = post_set(aut, start, ((0, 1), (0, 2), (0, 3)))
         assert out <= {(l3, (1, 2, 3)), (l3p, (1, 2, 3))}
 
+    def test_post_set_keeps_every_datum(self):
+        """The DRA merge replay hands post_set's configurations to the next
+        merge, so post_set forgets nothing, even when every datum of the
+        word is read once and never again."""
+        aut = RegisterAutomaton("shift", ("q", "p"), 2, ("a", "b"),
+                                (mk_transition(0, 0, TRUE, {0}, 1),
+                                 mk_transition(1, 1, TRUE, {1}, 0),
+                                 mk_transition(0, 1, TRUE, (), 0),
+                                 mk_transition(1, 0, TRUE, {0, 1}, 1)))
+        assert post_set(aut, {(0, (1, 2))}, ((0, -1), (1, 10**30))) == {(0, (-1, 10**30))}
+        assert post_set(aut, {(0, (1, 2)), (1, (3, 4))}, ((0, 5),)) == {
+            (1, (5, 2)), (1, (5, 5))}
+        rng = random.Random(31)
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            aut = random_complete_automaton(rng, rng.randint(1, 4), k, rng.randint(1, 2))
+            word = tuple((rng.randrange(len(aut.alphabet)), datum)
+                         for datum in rng.sample(range(-20, 20), rng.randint(1, 8)))
+            configs = {(rng.randrange(len(aut.locations)),
+                        tuple(rng.randrange(-3, 3) for _ in range(k)))
+                       for _ in range(rng.randint(1, 4))}
+            eng = semantics.engine_for(aut)
+            out = eng.post_set(configs, word)
+            assert out == reference_post_set(eng, configs, word)
+            assert all(semantics.DEAD not in values for _, values in out)
+
     def test_bijection_equivariance_random(self):
         rng = random.Random(23)
         for _ in range(50):
