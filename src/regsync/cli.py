@@ -9,8 +9,8 @@ subsumption.  A bounded sync or universality search stores the root, the
 sets found above its last layer and a witness found on it, but not the
 last layer's other sets.  An inconclusive sync-dra adds stats.phase, the
 search that ran out ("shrink" or "merge").  Text reports print an empty
-witness word as EMPTY_WORD; JSON keeps it as "".
-REGSYNC_MAX_NODES sets the default node budget.
+witness word as EMPTY_WORD; JSON keeps it as "".  Without --max-nodes a
+search runs under semantics.DEFAULT_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import dra, gadgets, nra, oracle, semantics
 from .dsl import DslError, SourceDocument, parse_automaton, serialize_automaton
-from .ra import RegisterAutomaton, ResourceCapError, StructuralError, validate
+from .ra import RegisterAutomaton, ResourceCapError, StructuralError
 from .semantics import abstract_run, choice_of_word, is_synchronized, word_data
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def _search_report(command, aut, outcome, negative_text) -> Report:
 
 def _cmd_validate(args) -> Report:
     aut = _load(args.file)
-    diags = validate(aut)
+    diags = aut.compiled.diagnostics
     if not diags:
         return Report("validate", "ok", EXIT_OK)
     return Report("validate", f"{len(diags)} diagnostic(s)", EXIT_NEGATIVE,
@@ -191,7 +191,7 @@ def _cmd_run(args) -> Report:
 def _cmd_oracle(args) -> Report:
     aut = _load(args.file)
     pool = args.pool if args.pool is not None else args.max_len
-    max_nodes = semantics.default_max_nodes() if args.max_nodes is None else args.max_nodes
+    max_nodes = semantics.DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
     params = oracle.OracleParams(args.max_len, pool, max_nodes=max_nodes)
     length = oracle.oracle_min_length(aut, params)
     if length is None:

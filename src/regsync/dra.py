@@ -128,7 +128,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     whole set is then replayed along the extension found, one
     `Engine.abstract_post` per move.  Exhausting the finite extension space
     proves no shrink word exists.  One node budget spans all rounds;
-    spending more than `max_nodes` (None: REGSYNC_MAX_NODES or 1e6) raises
+    spending more than `max_nodes` (None: semantics.DEFAULT_MAX_NODES) raises
     InconclusiveError.
     """
     budget = _Budget(max_nodes)
@@ -187,7 +187,7 @@ def pairwise_merge_word(aut: RegisterAutomaton, q1, q2, pool,
     lexicographically least is returned.  None when the merged diagonal is
     unreachable, which is a proof that the pair cannot be merged at all when
     |pool| = 2k+1 and both configurations' data lie in the pool.  Queuing
-    more than `max_nodes` (None: REGSYNC_MAX_NODES or 1e6) unmerged nodes
+    more than `max_nodes` (None: semantics.DEFAULT_MAX_NODES) unmerged nodes
     raises InconclusiveError.
     """
     _require_dra(aut)
@@ -256,7 +256,7 @@ def synchronizing_word_dra(aut: RegisterAutomaton,
 
     Shrink phase over data {0..k-1}, then pairwise merging over {0..2k},
     each merge a search over pairs up to data bijection.  `max_nodes`
-    (None: REGSYNC_MAX_NODES or 1e6) bounds the shrink search and,
+    (None: semantics.DEFAULT_MAX_NODES) bounds the shrink search and,
     separately, each merge call; past it the search raises
     InconclusiveError naming its phase.
 
@@ -309,8 +309,6 @@ class Dfa:
 
 def _dfa_merge(dfa: Dfa, s1: int, s2: int) -> Optional[tuple]:
     start = frozenset((s1, s2))
-    if len(start) == 1:
-        return ()
     parents = {start: None}
     queue = deque([start])
     while queue:

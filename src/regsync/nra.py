@@ -57,7 +57,7 @@ from .semantics import (
 class SearchBudget:
     max_length: int
     max_distinct_data: Optional[int] = None
-    max_nodes: Optional[int] = None  # None: REGSYNC_MAX_NODES or 1e6
+    max_nodes: Optional[int] = None  # None: semantics.DEFAULT_MAX_NODES
 
     def __post_init__(self):
         if self.max_distinct_data is not None and self.max_distinct_data < 0:

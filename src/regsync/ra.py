@@ -276,7 +276,8 @@ def validate(aut: RegisterAutomaton) -> list:
 
 
 def check_validated(aut: RegisterAutomaton) -> None:
-    diags = validate(aut)
+    """Raise StructuralError naming each diagnostic of `aut`'s compiled form."""
+    diags = aut.compiled.diagnostics
     if diags:
         raise StructuralError("; ".join(d.message for d in diags))
 
@@ -402,6 +403,7 @@ def complete_with_sink(aut: RegisterAutomaton, skip=()) -> RegisterAutomaton:
 
     The added guard is the complement of the disjunction of the cell's
     existing guards, so exactly the uncovered assignments are redirected.
+    That disjunction is a balanced tree, shallow enough for the parser.
     Locations in `skip` keep their gaps (used by the non-emptiness reduction,
     whose accepting location must stay exit-free until the construction adds
     its own loops).  Already-complete automata are returned unchanged.
@@ -415,7 +417,7 @@ def complete_with_sink(aut: RegisterAutomaton, skip=()) -> RegisterAutomaton:
             if covered != full:
                 guards = [t.guard for t in aut.transitions
                           if t.source == loc and t.letter == letter]
-                gap_guard = TRUE if not guards else Not(disj(guards))
+                gap_guard = TRUE if not guards else Not(_balanced_disj(guards))
                 gaps.append((loc, letter, gap_guard))
     if not gaps:
         return aut
@@ -431,3 +433,11 @@ def complete_with_sink(aut: RegisterAutomaton, skip=()) -> RegisterAutomaton:
         transitions=aut.transitions + tuple(new),
         acceptance=aut.acceptance,
     )
+
+
+def _balanced_disj(parts: list) -> Constraint:
+    """disj(parts), balanced: split at the largest power of two below len(parts)."""
+    if len(parts) == 1:
+        return parts[0]
+    half = 1 << (len(parts) - 1).bit_length() - 1
+    return or_(_balanced_disj(parts[:half]), _balanced_disj(parts[half:]))

@@ -64,11 +64,10 @@ expanded, lets `mask_post` stop once its partial successor fails the goal.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Callable, Optional
 
-from .ra import RegisterAutomaton, StructuralError
+from .ra import RegisterAutomaton, StructuralError, check_validated
 
 FRESH = -1
 # What a concrete walk stores in place of a datum its word no longer reads
@@ -322,9 +321,8 @@ class Engine:
     """
 
     def __init__(self, aut: RegisterAutomaton):
+        check_validated(aut)
         compiled = aut.compiled
-        if compiled.diagnostics:
-            raise StructuralError("; ".join(d.message for d in compiled.diagnostics))
         self.k = aut.registers
         self.n_locations = len(aut.locations)
         self.n_letters = len(aut.alphabet)
@@ -619,13 +617,7 @@ def bfs_path(parents: dict, node):
 # ---------------------------------------------------------------------------
 # Breadth-first search over abstract configuration sets
 
-ENV_MAX_NODES = "REGSYNC_MAX_NODES"
 DEFAULT_MAX_NODES = 1_000_000
-
-
-def default_max_nodes() -> int:
-    value = os.environ.get(ENV_MAX_NODES)
-    return int(value) if value else DEFAULT_MAX_NODES
 
 
 class _Exhausted(Exception):
@@ -633,7 +625,7 @@ class _Exhausted(Exception):
 
 
 class _Budget:
-    """A node budget; None means REGSYNC_MAX_NODES or DEFAULT_MAX_NODES.
+    """A node budget; None means DEFAULT_MAX_NODES.
     `tick` counts one node and is False once more than `limit` are counted;
     `queued` counts the sets a search adds to its dedup table, and `pruned`
     those it drops by subsumption."""
@@ -642,7 +634,7 @@ class _Budget:
 
     def __init__(self, max_nodes: Optional[int]):
         if max_nodes is None:
-            max_nodes = default_max_nodes()
+            max_nodes = DEFAULT_MAX_NODES
         if max_nodes < 0:
             raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.limit = max_nodes
@@ -727,8 +719,6 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
             budget.queued += 1
             if goal(nxt):
                 return bfs_path(parents, key)[1]
-            if last:
-                continue
             buckets = kept.setdefault(key[1], {})
             if _subsumed(buckets, nxt):
                 budget.pruned += 1

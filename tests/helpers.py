@@ -42,6 +42,14 @@ from regsync.semantics import (
 )
 
 
+def raises_exactly(call, error, message):
+    """Check that `call()` raises an exception of type `error` itself, not a
+    subclass, whose text is `message`."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def automaton(name, locations, registers, alphabet, transitions, acceptance=None):
     """Transitions as (src_name, letter_name, guard, update, dst_name)."""
     loc_ids = {n: i for i, n in enumerate(locations)}

@@ -408,6 +408,25 @@ class TestOtherCommands:
         assert code == 0 and stats["pruned"] == expected.pruned > 0
         assert (stats["explored"], stats["queued"]) == (expected.explored, expected.queued)
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "keeps"),
+        ("run", "chain2", "--word", "a:1 a:2"),
+        ("oracle", "chain2", "--max-len", "3"),
+    ], ids=["validate", "run", "oracle"])
+    def test_json_detail_is_the_text_lines(self, capsys, chain2_file, tmp_path, argv):
+        # The parser leaves the initial-update rule to validate.
+        keeps = tmp_path / "keeps.ra"
+        keeps.write_text("automaton t\nregisters 1\nalphabet a\nlocation q initial\n"
+                         "trans q -> q on a when true\n")
+        files = {"chain2": chain2_file, "keeps": str(keeps)}
+        argv = [files.get(a, a) for a in argv]
+        code, text, _ = run(capsys, *argv)
+        json_code, out, _ = run(capsys, "--format", "json", *argv)
+        payload = json.loads(out)
+        lines = text.splitlines()
+        assert json_code == code and lines[-1] == payload["outcome"]
+        assert payload["detail"] == lines[:-1] != []
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -417,9 +436,16 @@ class TestOtherCommands:
         assert code == 0
 
     def test_env_node_budget(self, capsys, fig4_file, monkeypatch):
-        monkeypatch.setenv("REGSYNC_MAX_NODES", "3")
-        code, _, _ = run(capsys, "sync-bounded", fig4_file, "--max-len", "3")
+        # The budget comes from --max-nodes alone, never from the environment.
+        argv = ("sync-bounded", fig4_file, "--max-len", "3")
+        code, _, _ = run(capsys, *argv, "--max-nodes", "3")
         assert code == 2
+        monkeypatch.delenv("REGSYNC_MAX_NODES", raising=False)
+        code, unset, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("REGSYNC_MAX_NODES", "3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == unset
 
     def test_zero_node_budget_is_honoured(self, capsys, chain2_file):
         code, out, _ = run(capsys, "sync-dra", chain2_file, "--max-nodes", "0")
@@ -447,13 +473,10 @@ class TestOtherCommands:
         ("universality", "univ", "--bound", "3"),
     ], ids=["sync-dra", "oracle", "sync-bounded", "universality"])
     def test_negative_node_budget_is_a_usage_error(self, capsys, chain2_file, fig4_file,
-                                                    univ_file, monkeypatch, argv):
+                                                    univ_file, argv):
         files = {"chain2": chain2_file, "fig4": fig4_file, "univ": univ_file}
         argv = [files.get(a, a) for a in argv]
         code, _, err = run(capsys, *argv, "--max-nodes", "-1")
-        assert code == 3 and "max_nodes must be >= 0" in err
-        monkeypatch.setenv("REGSYNC_MAX_NODES", "-1")
-        code, _, err = run(capsys, *argv)
         assert code == 3 and "max_nodes must be >= 0" in err
 
     @pytest.mark.parametrize("argv, message", [

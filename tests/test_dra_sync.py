@@ -33,6 +33,7 @@ from helpers import (
     automaton,
     concrete_merge,
     pair_state_shrink,
+    raises_exactly,
     random_complete_automaton,
     reference_orbit_key,
     reference_update_reachability,
@@ -507,3 +508,14 @@ class TestDra1Decide:
             oracle_result = oracle_search(aut, OracleParams(10**6, 3))
             assert decided == (oracle_result.found_length is not None)
             assert oracle_result.found_length is not None or oracle_result.saturated
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: shrink_word(automaton("gap", ["q"], 1, ["a"], [("q", "a", Eq(0), {0}, "q")])),
+     StructuralError, "automaton is not complete"),
+    (lambda: pairwise_merge_word(full_update_loop(), (0, (0,)), (0, (7,)), range(3)),
+     ValueError, "configuration data (7,) not within the pool"),
+    (lambda: Dfa(2, 1, ((0,), (2,))), StructuralError, "transition target 2 out of range"),
+], ids=["incomplete-dra", "data-outside-pool", "dfa-target-out-of-range"])
+def test_input_checks(call, error, message):
+    raises_exactly(call, error, message)

@@ -29,6 +29,7 @@ from regsync.ra import TRUE, And, Eq, Not, RegisterAutomaton, Transition, guard_
 from regsync.semantics import FRESH, abstract_run, engine_for
 from helpers import (
     automaton,
+    raises_exactly,
     random_complete_automaton,
     random_guard,
     reference_parse_automaton,
@@ -198,6 +199,25 @@ class TestDiagnostics:
         for n in (1, 3):
             text = serialize_automaton(gen_counter_nra(n))
             assert validate(parse_automaton(text)) == []
+
+
+_HEAD = "automaton t\nregisters 0\nalphabet x\n"
+_TWO_INITIAL_JSON = """{"automaton": "t", "registers": 0, "alphabet": ["x"], "transitions": [],
+ "locations": [{"name": "a", "initial": true}, {"name": "b", "initial": true}]}"""
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_automaton(_HEAD + "location\n"),
+     DslError, "<inline>:4:1: expected: location <name> ..."),
+    (lambda: parse_automaton(_HEAD + "location a initial\nlocation b initial\n"),
+     DslError, "<inline>:5:12: second initial location"),
+    (lambda: serialize_automaton(gen_chain_dra(1), "xml"),
+     ValueError, "unknown format 'xml' (expected 'dsl' or 'json')"),
+    (lambda: parse_automaton(_TWO_INITIAL_JSON),
+     DslError, "<inline>:1:1: JSON needs exactly one initial location"),
+], ids=["bare-location", "second-initial", "unknown-format", "json-two-initial"])
+def test_input_checks(call, error, message):
+    raises_exactly(call, error, message)
 
 
 # Guards are drawn as lists of pieces.  Rendered with and without spaces

@@ -28,12 +28,14 @@ from regsync.ra import (
     TRUE,
     Eq,
     ResourceCapError,
+    StructuralError,
+    conj,
     is_complete,
     is_deterministic,
     neq,
     validate,
 )
-from helpers import automaton, random_complete_automaton
+from helpers import automaton, minterm, raises_exactly, random_complete_automaton
 
 
 class TestFamilyShapes:
@@ -217,6 +219,40 @@ class TestNonemptyToSyncDra:
         assert tested >= 20
 
 
+def many_guards_nra():
+    """k = 6, one initial and accepting location, 40 overlapping guards in
+    its one cell: =ri & !=rj & !=rl over distinct triples."""
+    triples = [(i, j, l) for i in range(6) for j in range(6) for l in range(j + 1, 6)
+               if i not in (j, l)][:40]
+    return automaton("many", ["q"], 6, ["a"],
+                     [("q", "a", conj([Eq(i), neq(j), neq(l)]), range(6), "q")
+                      for i, j, l in triples],
+                     acceptance=("q", ["q"]))
+
+
+def many_guards_dra():
+    """k = 6, a DRA whose initial cell holds 40 of the 64 minterms, each to
+    an exit-free accepting location."""
+    return automaton("many", ["init", "acc"], 6, ["a"],
+                     [("init", "a", minterm(s, 6), range(6), "acc") for s in range(40)],
+                     acceptance=("init", ["acc"]))
+
+
+@pytest.mark.parametrize("fmt", ["dsl", "json"])
+@pytest.mark.parametrize("reduce, make", [
+    (reduce_nonuniv_to_sync, many_guards_nra),
+    (reduce_nonempty_to_sync_dra, many_guards_dra),
+], ids=["nonuniv", "nonempty"])
+def test_reduction_of_a_crowded_cell_parses_back(reduce, make, fmt):
+    # The sink completion's gap guard negates the disjunction of all 40
+    # guards of the cell; it must stay shallow enough for the parser.
+    src = make()
+    assert parse_automaton(serialize_automaton(src, fmt)) == src
+    out = reduce(src)
+    assert is_complete(out)
+    assert parse_automaton(serialize_automaton(out, fmt)) == out
+
+
 class TestSyncToNonuniv:
     def tiny_sync(self):
         return automaton(
@@ -308,3 +344,33 @@ class TestAckermann:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             ackermann(0, 1)
+
+
+def _nonempty_input(transitions, accepting=("acc",)):
+    return automaton("ne", ["init", "acc"], 1, ["a"], transitions,
+                     acceptance=("init", list(accepting)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: reduce_nonempty_to_sync_dra(gen_chain_dra(1)),
+     ValueError, "reduce_nonempty_to_sync_dra needs acceptance structure"),
+    (lambda: reduce_nonempty_to_sync_dra(_nonempty_input([("init", "a", TRUE, (), "acc")])),
+     StructuralError, "transition 0 leaves the initial location without updating all registers"),
+    (lambda: reduce_nonempty_to_sync_dra(_nonempty_input(
+        [("init", "a", TRUE, {0}, "acc"), ("init", "a", Eq(0), {0}, "init")])),
+     StructuralError, "reduce_nonempty_to_sync_dra needs a deterministic input"),
+    (lambda: reduce_nonempty_to_sync_dra(_nonempty_input(
+        [("init", "a", TRUE, {0}, "acc")], accepting=("init", "acc"))),
+     ValueError, "reduce_nonempty_to_sync_dra needs exactly one accepting location"),
+    (lambda: reduce_nonempty_to_sync_dra(_nonempty_input(
+        [("init", "a", TRUE, {0}, "acc"), ("acc", "a", TRUE, (), "acc")])),
+     ValueError, "the accepting location must have no outgoing transitions"),
+    (lambda: reduce_sync_to_nonuniv(automaton("gap", ["q"], 1, ["a"],
+                                              [("q", "a", Eq(0), {0}, "q")])),
+     StructuralError, "reduce_sync_to_nonuniv needs a complete input"),
+    (lambda: ackermann(1, -1), ValueError, "ackermann argument must be >= 0"),
+], ids=["nonempty-no-acceptance", "nonempty-invalid", "nonempty-nondeterministic",
+        "nonempty-two-accepting", "nonempty-accepting-exits", "nonuniv-incomplete",
+        "ackermann-negative"])
+def test_input_checks(call, error, message):
+    raises_exactly(call, error, message)

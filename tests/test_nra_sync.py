@@ -17,7 +17,13 @@ from regsync.nra import (
 from regsync.oracle import oracle_is_synchronizing
 from regsync.ra import TRUE, Eq, RegisterAutomaton, StructuralError, conj, mk_transition, neq
 from regsync.semantics import FRESH, abstract_run, engine_for, instantiate_choice_word, word_data
-from helpers import all_choice_words, automaton, random_complete_automaton, reference_accepts
+from helpers import (
+    all_choice_words,
+    automaton,
+    raises_exactly,
+    random_complete_automaton,
+    reference_accepts,
+)
 
 
 def dying_word(rng: random.Random, n_letters: int, length: int) -> tuple:
@@ -372,3 +378,19 @@ class TestAccepts:
             accepts(aut, word)
         eng = engine_for(aut)
         assert eng.mask_memo == {} and eng.config_of == []
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bounded_sync_search(
+        automaton("gap", ["q"], 1, ["a"], [("q", "a", Eq(0), {0}, "q")]), SearchBudget(2)),
+     StructuralError, "bounded_sync_search needs a complete automaton"),
+    (lambda: bounded_sync_search(full_update_loop(), SearchBudget(0)),
+     ValueError, "synchronizing words are nonempty; max_length must be >= 1"),
+    (lambda: accepts(full_update_loop(), ()),
+     ValueError, "accepts needs acceptance structure"),
+    (lambda: nonemptiness_witness(full_update_loop(), 3),
+     ValueError, "nonemptiness_witness needs acceptance structure"),
+], ids=["sync-incomplete", "sync-length-0", "accepts-no-acceptance",
+        "nonempty-no-acceptance"])
+def test_input_checks(call, error, message):
+    raises_exactly(call, error, message)

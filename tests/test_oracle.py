@@ -82,6 +82,7 @@ class TestMinima:
 
     def test_none_within_bound(self):
         assert oracle_min_length(gen_chain_dra(2), OracleParams(2, 4)) is None
+        assert oracle_min_data_efficiency(gen_chain_dra(2), OracleParams(2, 4)) is None
 
     def test_saturation_detects_never(self):
         # a permutation-style automaton that never synchronizes

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from regsync.ra import (
     TRUE,
+    Acceptance,
     And,
     Eq,
     Not,
@@ -26,7 +27,7 @@ from regsync.ra import (
 )
 from regsync import ra
 from regsync.dsl import parse_automaton
-from helpers import automaton, random_complete_automaton, random_guard
+from helpers import automaton, raises_exactly, random_complete_automaton, random_guard
 
 
 class TestEvalConstraint:
@@ -207,6 +208,28 @@ class TestValidate:
         assert codes == {"dangling-id"}
 
 
+def _one_location(registers=1, transitions=(), acceptance=None):
+    return RegisterAutomaton("bad", ("q",), registers, ("a",), tuple(transitions), acceptance)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ra.disj([]), ValueError, "disjunction of nothing (no False constraint exists)"),
+    (lambda: ra.check_validated(_one_location(transitions=[mk_transition(3, 0, TRUE, (), 0)])),
+     StructuralError, "transition 0: source 3 out of range"),
+    (lambda: ra.check_validated(_one_location(acceptance=Acceptance(2, frozenset()))),
+     StructuralError, "initial location 2 out of range"),
+    (lambda: ra.check_validated(_one_location(acceptance=Acceptance(0, frozenset({4})))),
+     StructuralError, "accepting location 4 out of range"),
+    (lambda: ra.check_validated(_one_location(registers=-1)),
+     StructuralError, "negative register count -1"),
+    (lambda: ra.check_validated(_one_location(registers=7)),
+     ResourceCapError, "k=7 exceeds the assignment-enumeration cap 6"),
+], ids=["disj-empty", "source-out-of-range", "initial-out-of-range",
+        "accepting-out-of-range", "negative-k", "k-over-cap"])
+def test_input_checks(call, error, message):
+    raises_exactly(call, error, message)
+
+
 def brute_force_cells(aut, pool):
     """Concrete (location, letter, valuation, datum) successor counts."""
     counts = {}
@@ -313,6 +336,11 @@ class TestCompleteWithSink:
         assert is_complete(done)
         # every input reaches the sink
         assert all(t.target == 1 for t in done.transitions if t.source == 0)
+
+    def test_sink_name_is_fresh(self):
+        aut = automaton("gapped", ["sink", "sink'"], 1, ["a"],
+                        [("sink", "a", TRUE, (), "sink'"), ("sink'", "a", Eq(0), (), "sink")])
+        assert complete_with_sink(aut).locations == ("sink", "sink'", "sink''")
 
     def test_sink_receives_inequality_case(self):
         aut = automaton("gapped", ["q0"], 1, ["a"], [("q0", "a", Eq(0), (), "q0")])

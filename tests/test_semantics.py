@@ -28,6 +28,7 @@ from helpers import (
     all_choice_words,
     canonicalize,
     kernel_tables,
+    raises_exactly,
     random_complete_automaton,
     reference_abstract_successors,
     reference_choice_of_word,
@@ -55,6 +56,15 @@ class TestChoiceWords:
     def test_seen_before_fresh_rejected(self):
         with pytest.raises(ValueError):
             instantiate_choice_word(((0, 1),), [1, 2])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: instantiate_choice_word(((0, FRESH),), [3, 3]),
+         ValueError, "instantiation pool must be pairwise distinct"),
+        (lambda: abstract_post(gen_chain_dra(1), abstract_initial(gen_chain_dra(1)), (0, 0)),
+         ra.StructuralError, "Seen(0) with only 0 word data introduced"),
+    ], ids=["repeated-pool", "seen-beyond-word-data"])
+    def test_input_checks(self, call, error, message):
+        raises_exactly(call, error, message)
 
     def test_choice_of_word_roundtrip(self):
         word = ((0, 7), (1, 7), (0, 9), (1, 7), (0, 3))
