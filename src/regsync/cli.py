@@ -83,7 +83,7 @@ def parse_word(aut: RegisterAutomaton, text: str):
             raise ValueError(f"unknown letter {letter!r}")
         if not datum.isdecimal():
             raise ValueError(f"bad datum {datum!r} (expected a natural)")
-        word.append((aut.alphabet.index(letter), int(datum)))
+        word.append((aut.letter_index(letter), int(datum)))
     return tuple(word)
 
 

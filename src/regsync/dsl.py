@@ -1,4 +1,4 @@
-"""Line-oriented textual format for register automata, plus a JSON mirror.
+"""Line-oriented textual format for register automata, and a JSON mirror read through it.
 
     automaton <name>
     registers <k>
@@ -9,8 +9,13 @@
 Guards: true | =r<i> | !=r<i> | g & g | g | g | !g | (g), precedence ! > & > |.
 `set *` updates all registers; omitting `set` means no update.  Serialization
 is deterministic (stored order), so structurally equal automata print
-byte-identically and parse(serialize(x)) == x.  Both parsers reject more
+byte-identically and parse(serialize(x)) == x.  The parser rejects more
 registers than ra.REGISTER_ENUMERATION_CAP, which no query can compile.
+The JSON mirror is a front end of the same parser: parse_automaton_json
+checks only the payload's shape and types, writes each entry as the DSL
+line it mirrors and parses that text, so each structural rule (unique
+names, the register cap and ranges, one initial location, known names)
+has one implementation.
 
 Parsing keeps two process-wide tables.  The document table maps a whole
 text (DSL or JSON) that parsed without a diagnostic to its automaton,
@@ -21,7 +26,7 @@ walks fill, capped at ra.FIRING_TABLE_CAP entries).  Only shared data is
 stored: each returned automaton builds its own Engine on first use, so
 successor memos, intern tables, search state and verdicts are never shared
 between calls, and they are freed with the caller's automaton.  Below it,
-both parsers look guards up in the guard table, keyed by the guard's words
+every guard is looked up in the guard table, keyed by the guard's words
 joined by single spaces, so each distinct guard text is parsed once per
 process and every document that uses it shares one guard object (and the
 masks it keeps); each document checks the guard's registers against its own
@@ -537,8 +542,21 @@ def _serialize_json(aut: RegisterAutomaton) -> str:
 
 
 def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAutomaton:
+    """Parse the JSON mirror: check the payload's shape and types, write each
+    entry as the DSL line it mirrors and parse that text.  Every diagnostic
+    is at 1:1 except a JSON syntax error's and a guard's."""
     def error(message: str, line: int = 1, column: int = 1) -> DslError:
         return DslError([ParseDiagnostic(line, column, message)], provenance)
+
+    def word(what: str, name) -> str:
+        """`name`, once it is one word: so it neither splits a line nor
+        shifts a word, and the DSL reads it by its position alone."""
+        if not isinstance(name, str):
+            raise error(f"{what} name must be a string, not {name!r}")
+        if name.split() != [name]:
+            raise error(f"{what} name {name!r} must be one word, "
+                        "non-empty and without whitespace")
+        return name
 
     try:
         payload = json.loads(text)
@@ -552,75 +570,45 @@ def parse_automaton_json(text: str, provenance: str = "<inline>") -> RegisterAut
         alphabet = payload["alphabet"]
         if not isinstance(alphabet, list):
             raise error(f"alphabet must be a list of letter names, not {alphabet!r}")
-        locations = [entry["name"] for entry in payload["locations"]]
-        for what, names in (("automaton", [payload["automaton"]]), ("location", locations),
-                            ("letter", alphabet)):
-            known = set()
-            for name in names:
-                if not isinstance(name, str):
-                    raise error(f"{what} name must be a string, not {name!r}")
-                if name.split() != [name]:  # the DSL could not write it back
-                    raise error(f"{what} name {name!r} must be one word, "
-                                "non-empty and without whitespace")
-                if name in known:
-                    raise error(f"duplicate {what} name {name!r}")
-                known.add(name)
-        loc_ids = {name: i for i, name in enumerate(locations)}
-        letter_ids = {name: i for i, name in enumerate(alphabet)}
         k = payload["registers"]
         if type(k) is not int or k < 0:
             raise error(f"registers must be a non-negative integer, not {k!r}")
-        if k > REGISTER_ENUMERATION_CAP:
-            raise error(f"register count {k} exceeds the cap {REGISTER_ENUMERATION_CAP}")
-        transitions = []
+        lines = [f"automaton {word('automaton', payload['automaton'])}",
+                 f"registers {k}",
+                 " ".join(["alphabet"] + [word("letter", a) for a in alphabet])]
+        for entry in payload["locations"]:
+            line = ["location", word("location", entry["name"])]
+            for flag in ("initial", "accepting"):
+                value = entry.get(flag, False)
+                if type(value) is not bool:
+                    raise error(f"location flag {flag} must be true or false, not {value!r}")
+                if value:
+                    line.append(flag)
+            lines.append(" ".join(line))
         for entry in payload["transitions"]:
             regs = entry.get("set", [])
-            if regs == ["*"]:
-                update = range(k)
-            elif isinstance(regs, list) and all(map(_is_register, regs)):
-                update = set()
-                for reg in regs:
-                    idx = _index(reg[1:])
-                    if idx is None or idx >= k:
-                        raise error(f"update register {reg} out of range")
-                    update.add(idx)
-            else:
+            if regs != ["*"] and not (isinstance(regs, list) and all(map(_is_register, regs))):
                 raise error(f'bad set {regs!r} (expected a list of r<i>, or ["*"])')
             when = entry["when"]
             if not isinstance(when, str):
                 raise error(f"guard must be a string, not {when!r}")
+            guard = " ".join(when.split())  # the guard table's key: no `set`, no line break
             try:
-                guard = _shared_guard(" ".join(when.split()))
+                _shared_guard(guard)
             except DslError:
                 parse_guard(when)  # raises with columns in the text as given
                 raise
-            bad = _least_out_of_range(guard.registers, k)
-            if bad is not None:
-                raise error(f"guard register out of range: r{bad}")
-            transitions.append(Transition(
-                loc_ids[entry["source"]], letter_ids[entry["on"]],
-                guard, frozenset(update), loc_ids[entry["target"]]))
-        for entry in payload["locations"]:
-            for flag in ("initial", "accepting"):
-                if type(entry.get(flag, False)) is not bool:
-                    raise error(f"location flag {flag} must be true or false, "
-                                f"not {entry[flag]!r}")
-        initial = [i for i, entry in enumerate(payload["locations"]) if entry.get("initial")]
-        accepting = [i for i, entry in enumerate(payload["locations"]) if entry.get("accepting")]
-        acceptance = None
-        if initial or accepting:
-            if len(initial) != 1:
-                raise error("JSON needs exactly one initial location")
-            acceptance = Acceptance(initial=initial[0], accepting=frozenset(accepting))
-        return RegisterAutomaton(
-            name=payload["automaton"],
-            locations=tuple(locations),
-            registers=k,
-            alphabet=tuple(alphabet),
-            transitions=tuple(transitions),
-            acceptance=acceptance,
-        )
+            line = ["trans", word("location", entry["source"]), "->",
+                    word("location", entry["target"]), "on", word("letter", entry["on"]),
+                    "when", guard]
+            if regs:
+                line += ["set"] + regs
+            lines.append(" ".join(line))
     except DslError as err:
         raise DslError(err.diagnostics, provenance)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise error(f"malformed JSON automaton: {err}")
+    try:
+        return _parse_dsl("\n".join(lines), provenance)
+    except DslError as err:  # its lines and columns are in text the caller never saw
+        raise DslError([ParseDiagnostic(1, 1, d.message) for d in err.diagnostics], provenance)

@@ -23,15 +23,14 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .ra import RegisterAutomaton, ResourceCapError, eval_constraint
-
-DEFAULT_ORACLE_NODES = 2_000_000
+from .semantics import DEFAULT_MAX_NODES
 
 
 @dataclass(frozen=True)
 class OracleParams:
     max_length: int
     data_pool_size: int
-    max_nodes: int = field(default=DEFAULT_ORACLE_NODES, kw_only=True)
+    max_nodes: int = field(default=DEFAULT_MAX_NODES, kw_only=True)
 
     def __post_init__(self):
         for name in ("max_length", "data_pool_size", "max_nodes"):

@@ -226,12 +226,12 @@ class Diagnostic:
 
 
 def validate(aut: RegisterAutomaton) -> list:
-    """Structural diagnostics; empty list iff the automaton is well formed."""
+    """Structural diagnostics; empty list iff the automaton is well formed.
+    Assumes a register count the compile accepts (CompiledAutomaton checks
+    it before it calls this)."""
     diags = []
     n_loc = len(aut.locations)
     n_sym = len(aut.alphabet)
-    if aut.registers < 0:
-        diags.append(Diagnostic("register-count", f"negative register count {aut.registers}"))
     if not n_loc:
         diags.append(Diagnostic("no-locations", "automaton has no locations"))
     for kind, names in (("location", aut.locations), ("letter", aut.alphabet)):

@@ -12,7 +12,7 @@ import pytest
 
 from regsync import semantics
 from regsync.dsl import MAX_GUARD_DEPTH, DslError, ParseDiagnostic, SourceDocument
-from regsync.oracle import DEFAULT_ORACLE_NODES, OracleSearch, oracle_is_synchronizing
+from regsync.oracle import OracleSearch, oracle_is_synchronizing
 from regsync.ra import (
     REGISTER_ENUMERATION_CAP,
     TRUE,
@@ -412,7 +412,7 @@ def canonicalize(aset: AbstractConfigSet) -> AbstractConfigSet:
 
 
 def oracle_search_concrete(aut, max_length, pool_size,
-                           max_nodes=DEFAULT_ORACLE_NODES) -> OracleSearch:
+                           max_nodes=semantics.DEFAULT_MAX_NODES) -> OracleSearch:
     """Reference for oracle.oracle_search: plain enumeration of every word
     over the full pool {0..pool_size-1}, shortest first, each checked with
     oracle_is_synchronizing."""

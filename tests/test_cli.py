@@ -200,7 +200,7 @@ class TestJsonMirror:
     def write(self, tmp_path, **overrides):
         payload = json.loads(serialize_automaton(gen_chain_dra(1), "json"))
         payload.update(overrides)
-        for key in ("set", "when"):
+        for key in ("set", "when", "source", "on"):
             if key in overrides:
                 payload["transitions"][0][key] = payload.pop(key)
         if "location" in overrides:
@@ -241,11 +241,17 @@ class TestJsonMirror:
         ({"alphabet": ["a\tb"]}, "letter name 'a\\tb' must be one word"),
         ({"automaton": "my chain"}, "automaton name 'my chain' must be one word"),
         ({"when": 5}, "guard must be a string, not 5"),
+        ({"source": "nowhere"}, "unknown location 'nowhere'"),
+        ({"on": "zz"}, "unknown letter 'zz'"),
+        ({"source": 5}, "location name must be a string, not 5"),
+        ({"on": "a b"}, "letter name 'a b' must be one word"),
+        ({"accepting": True}, "accepting locations without an initial location"),
     ], ids=["string", "float", "bool", "negative", "prefix", "star-mixed", "set-string",
             "entry", "set-range", "set-digits", "guard-range", "automaton-name", "location-name",
             "letter", "alphabet-string", "alphabet-dict", "duplicate-location",
             "duplicate-letter", "initial-string", "accepting-int", "empty-location",
-            "spaced-letter", "spaced-automaton", "guard-not-string"])
+            "spaced-letter", "spaced-automaton", "guard-not-string", "unknown-source",
+            "unknown-letter", "source-not-string", "spaced-on", "accepting-without-initial"])
     def test_malformed_is_a_parse_error(self, capsys, tmp_path, overrides, message):
         path = self.write(tmp_path, **overrides)
         code, _, err = run(capsys, "validate", path)

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import json
 import pathlib
 import random
 import re
@@ -206,6 +207,14 @@ _TWO_INITIAL_JSON = """{"automaton": "t", "registers": 0, "alphabet": ["x"], "tr
  "locations": [{"name": "a", "initial": true}, {"name": "b", "initial": true}]}"""
 
 
+def _json_doc(locations=({"name": "a"},), **transition):
+    """A one-register JSON automaton over the letter x with one transition,
+    a -> a on x when true unless `transition` says otherwise."""
+    entry = {"source": "a", "target": "a", "on": "x", "when": "true", **transition}
+    return json.dumps({"automaton": "t", "registers": 1, "alphabet": ["x"],
+                       "locations": list(locations), "transitions": [entry]})
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: parse_automaton(_HEAD + "location\n"),
      DslError, "<inline>:4:1: expected: location <name> ..."),
@@ -214,10 +223,42 @@ _TWO_INITIAL_JSON = """{"automaton": "t", "registers": 0, "alphabet": ["x"], "tr
     (lambda: serialize_automaton(gen_chain_dra(1), "xml"),
      ValueError, "unknown format 'xml' (expected 'dsl' or 'json')"),
     (lambda: parse_automaton(_TWO_INITIAL_JSON),
-     DslError, "<inline>:1:1: JSON needs exactly one initial location"),
-], ids=["bare-location", "second-initial", "unknown-format", "json-two-initial"])
+     DslError, "<inline>:1:1: second initial location"),
+    (lambda: parse_automaton(_json_doc(source="nowhere")),
+     DslError, "<inline>:1:1: unknown location 'nowhere'"),
+    (lambda: parse_automaton(_json_doc(on="zz")),
+     DslError, "<inline>:1:1: unknown letter 'zz'"),
+    (lambda: parse_automaton(_json_doc(source=5)),
+     DslError, "<inline>:1:1: location name must be a string, not 5"),
+    (lambda: parse_automaton(_json_doc([{"name": "a", "accepting": True}])),
+     DslError, "<inline>:1:1: accepting locations without an initial location"),
+    (lambda: parse_automaton(_json_doc(when="true set r0")),
+     DslError, "<inline>:1:5: bad guard token near 'set r0'"),
+], ids=["bare-location", "second-initial", "unknown-format", "json-two-initial",
+        "json-unknown-source", "json-unknown-letter", "json-source-not-string",
+        "json-accepting-without-initial", "json-guard-with-set"])
 def test_input_checks(call, error, message):
     raises_exactly(call, error, message)
+
+
+def test_json_names_that_are_dsl_words_roundtrip():
+    """The DSL reads a `trans` line by word position, so its keywords are
+    names like any other when the JSON mirror writes them into DSL lines."""
+    text = json.dumps({
+        "automaton": "->", "registers": 1, "alphabet": ["when", "set", "->"],
+        "locations": [{"name": "initial", "initial": True}, {"name": "on", "accepting": True},
+                      {"name": "set"}, {"name": "when"}],
+        "transitions": [
+            {"source": "initial", "target": "on", "on": "set", "when": "=r0", "set": ["r0"]},
+            {"source": "on", "target": "set", "on": "->", "when": "!=r0"},
+            {"source": "set", "target": "when", "on": "when", "when": "true", "set": ["*"]}]})
+    aut = parse_automaton(text)
+    assert aut.name == "->" and aut.alphabet == ("when", "set", "->")
+    assert aut.locations == ("initial", "on", "set", "when")
+    assert [(t.source, t.letter, t.update, t.target) for t in aut.transitions] == [
+        (0, 1, frozenset({0}), 1), (1, 2, frozenset(), 2), (2, 0, frozenset({0}), 3)]
+    for fmt in ("dsl", "json"):
+        assert parse_automaton(serialize_automaton(aut, fmt)) == aut
 
 
 # Guards are drawn as lists of pieces.  Rendered with and without spaces

@@ -13,6 +13,7 @@ from regsync.oracle import (
     oracle_search,
 )
 from regsync.ra import TRUE, RegisterAutomaton, mk_transition
+from regsync.semantics import DEFAULT_MAX_NODES
 from helpers import oracle_search_concrete, random_complete_automaton
 
 
@@ -127,3 +128,7 @@ class TestParams:
         # argument is accepted; it must not silently become the node budget
         with pytest.raises(TypeError):
             OracleParams(2, 2, 1)
+
+    def test_default_node_budget_is_the_searches_default(self):
+        # `regsync oracle` without --max-nodes and a library call share one budget
+        assert OracleParams(1, 1).max_nodes == DEFAULT_MAX_NODES
