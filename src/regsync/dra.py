@@ -26,6 +26,7 @@ from typing import Optional
 
 from .ra import RegisterAutomaton, StructuralError, is_complete, is_deterministic
 from .semantics import (
+    SUBMASK_UNIONS,
     Engine,
     _Budget,
     _Exhausted,
@@ -35,7 +36,7 @@ from .semantics import (
     check_configs,
     engine_for,
     instantiate_choice_word,
-    submask_unions,
+    pattern_of,
 )
 
 
@@ -87,7 +88,7 @@ def _update_reachability(aut: RegisterAutomaton, generalized: bool) -> list:
     # down[up]: the mask of the assignments a transition may be fired under
     # once the registers in up were updated; sigma = 0 alone when not
     # generalized
-    down = submask_unions(k) if generalized else (1,) * (1 << k)
+    down = SUBMASK_UNIONS[k] if generalized else (1,) * (1 << k)
     edges = [[(mask, sum(1 << r for r in update), target)
               for cell in row for mask, update, target in cell]
              for row in aut.compiled.table]
@@ -210,14 +211,10 @@ def _orbit_key(pair) -> tuple:
     (loc_a, values_a), (loc_b, values_b) = pair
     if loc_a > loc_b:
         loc_a, values_a, loc_b, values_b = loc_b, values_b, loc_a, values_a
-    values = values_a + values_b
-    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    key = (loc_a, loc_b, *map(ids.__getitem__, values))
+    key = (loc_a, loc_b, *pattern_of(values_a + values_b))
     if loc_a != loc_b:
         return key
-    values = values_b + values_a
-    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    return min(key, (loc_a, loc_b, *map(ids.__getitem__, values)))
+    return min(key, (loc_a, loc_b, *pattern_of(values_b + values_a)))
 
 
 def _merge(eng: Engine, q1, q2, pool, max_nodes: Optional[int]) -> Optional[tuple]:
@@ -326,14 +323,14 @@ def _dfa_merge(dfa: Dfa, s1: int, s2: int) -> Optional[tuple]:
 
 def dfa_synchronizing_word(dfa: Dfa) -> Optional[tuple]:
     """Classical pairwise synchronization; None iff some pair never merges."""
-    states = sorted(range(dfa.n_states))
+    states = list(range(dfa.n_states))
     word = []
     while len(states) > 1:
         merged = _dfa_merge(dfa, states[0], states[1])
         if merged is None:
             return None
         word.extend(merged)
-        after = {s for s in states}
+        after = set(states)
         for letter in merged:
             after = {dfa.delta[s][letter] for s in after}
         states = sorted(after)
@@ -349,15 +346,14 @@ def dra1_decide(aut: RegisterAutomaton) -> bool:
         return False
     eng = engine_for(aut)
     n_loc = len(aut.locations)
-    pool = (0, 1, 2)
     delta = []
     for state in range(n_loc * 3):
         loc, x = divmod(state, 3)
         row = []
         for letter in range(len(aut.alphabet)):
-            for d in pool:
-                (tgt, values), = eng.post_config((loc, (pool[x],)), letter, d)
-                row.append(tgt * 3 + pool.index(values[0]))
+            for d in range(3):
+                (tgt, values), = eng.post_config((loc, (x,)), letter, d)
+                row.append(tgt * 3 + values[0])
         delta.append(tuple(row))
     dfa = Dfa(n_loc * 3, len(aut.alphabet) * 3, tuple(delta))
     return dfa_synchronizing_word(dfa) is not None

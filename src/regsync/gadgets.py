@@ -8,6 +8,7 @@ implicit transition.  Every generator emits a validated, complete automaton.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .ra import (
@@ -248,14 +249,8 @@ def _split_guarded_initial(aut: RegisterAutomaton) -> RegisterAutomaton:
     accepting = set(acc.accepting)
     if acc.initial in accepting:
         accepting.add(entry)
-    return RegisterAutomaton(
-        name=aut.name,
-        locations=aut.locations + (fresh_name("entry", aut.locations),),
-        registers=aut.registers,
-        alphabet=aut.alphabet,
-        transitions=tuple(ts),
-        acceptance=Acceptance(entry, frozenset(accepting)),
-    )
+    return replace(aut, locations=aut.locations + (fresh_name("entry", aut.locations),),
+                   transitions=tuple(ts), acceptance=Acceptance(entry, frozenset(accepting)))
 
 
 def reduce_nonuniv_to_sync(aut: RegisterAutomaton) -> RegisterAutomaton:
@@ -289,14 +284,8 @@ def reduce_nonuniv_to_sync(aut: RegisterAutomaton) -> RegisterAutomaton:
         ts.append(mk_transition(loc, star_id, TRUE, full, acc.initial))
         target = reset if loc in acc.accepting else synch
         ts.append(mk_transition(loc, hash_id, TRUE, full, target))
-    out = RegisterAutomaton(
-        name=f"{aut.name}_sync",
-        locations=locations,
-        registers=aut.registers,
-        alphabet=alphabet,
-        transitions=tuple(ts),
-        acceptance=None,
-    )
+    out = replace(aut, name=f"{aut.name}_sync", locations=locations, alphabet=alphabet,
+                  transitions=tuple(ts), acceptance=None)
     check_validated(out)
     return out
 
@@ -333,14 +322,8 @@ def reduce_nonempty_to_sync_dra(aut: RegisterAutomaton) -> RegisterAutomaton:
     for loc in range(len(aut.locations)):
         if loc not in (initial, final):
             ts.append(mk_transition(loc, star_id, TRUE, full, reset))
-    out = RegisterAutomaton(
-        name=f"{aut.name}_sync",
-        locations=locations,
-        registers=aut.registers,
-        alphabet=alphabet,
-        transitions=tuple(ts),
-        acceptance=None,
-    )
+    out = replace(aut, name=f"{aut.name}_sync", locations=locations, alphabet=alphabet,
+                  transitions=tuple(ts), acceptance=None)
     check_validated(out)
     assert is_deterministic(out) and is_complete(out)
     return out

@@ -38,6 +38,8 @@ from typing import Optional
 from .ra import RegisterAutomaton, StructuralError, is_complete
 from .semantics import (
     DEAD,
+    INITIAL_VALUATIONS,
+    PARTITIONS,
     Engine,
     _Budget,
     _Exhausted,
@@ -47,9 +49,8 @@ from .semantics import (
     check_letters,
     choice_of_word,
     engine_for,
-    initial_valuations,
     instantiate_choice_word,
-    sym,
+    pattern_of,
 )
 
 
@@ -123,7 +124,7 @@ def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool 
         raise ValueError("synchronizing words are nonempty; max_length must be >= 1")
     eng = engine_for(aut)
     root = [(loc, values) for loc in range(eng.n_locations)
-            for values in initial_valuations(eng.k)]
+            for values in INITIAL_VALUATIONS[eng.k]]
     return _search(eng, root, eng.mask_synchronized, budget, empty_word=False)
 
 
@@ -146,7 +147,7 @@ def bounded_universality_witness(aut: RegisterAutomaton, bound: int,
         return not any(mask & eng.location_masks[loc] for loc in accepting)
 
     initial = aut.acceptance.initial
-    root = [(initial, values) for values in initial_valuations(eng.k)]
+    root = [(initial, values) for values in INITIAL_VALUATIONS[eng.k]]
     return _search(eng, root, rejected, SearchBudget(bound, None, max_nodes),
                    empty_word=True)
 
@@ -203,10 +204,8 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     acc = aut.acceptance
     tick = _Budget(max_nodes)
 
-    # One root per equality pattern, each block b read as the natural b, in
-    # restricted-growth order: the reverse of the sorted block tuples.
-    roots = [(acc.initial, tuple(map(sym, values)))
-             for values in reversed(initial_valuations(aut.registers))]
+    # One root per equality pattern, each block b read as the natural b
+    roots = [(acc.initial, rgs) for rgs in PARTITIONS[aut.registers]]
     parents = dict.fromkeys(roots)
     runs = {root: (root[1], len(set(root[1])), 0) for root in roots}
 
@@ -228,7 +227,7 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
                 if not tick.tick():
                     return BudgetExhausted(tick.spent, len(parents))
                 for tgt, nv in eng.post_config((state[0], valuation), letter, datum):
-                    nxt = (tgt, _pattern_of(nv))
+                    nxt = (tgt, pattern_of(nv))
                     if nxt in parents:
                         continue
                     parents[nxt] = (state, (letter, datum))
@@ -237,13 +236,3 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
                     runs[nxt] = (nv, fresh + (datum == fresh), depth + 1)
                     queue.append(nxt)
     return NoneWithinBound(tick.spent, len(parents))
-
-
-def _pattern_of(values) -> tuple:
-    mapping = {}
-    out = []
-    for v in values:
-        if v not in mapping:
-            mapping[v] = len(mapping)
-        out.append(mapping[v])
-    return tuple(out)

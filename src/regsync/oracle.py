@@ -20,10 +20,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Optional
 
 from .ra import RegisterAutomaton, ResourceCapError, eval_constraint
 from .semantics import DEFAULT_MAX_NODES
+
+# Configurations the word search's start set L x (pool + k fresh)^k may hold;
+# it is built whole before the node budget counts a single node.
+START_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -66,16 +71,8 @@ def _post_once(aut: RegisterAutomaton, configs, letter: int, datum: int, memo) -
 
 def _start(aut: RegisterAutomaton, pool) -> frozenset:
     """L x pool^k: every location with every valuation over `pool`."""
-    k = aut.registers
-    out = set()
-    stack = [(loc, ()) for loc in range(len(aut.locations))]
-    while stack:
-        loc, values = stack.pop()
-        if len(values) == k:
-            out.add((loc, values))
-        else:
-            stack.extend((loc, values + (d,)) for d in pool)
-    return frozenset(out)
+    return frozenset((loc, values) for loc in range(len(aut.locations))
+                     for values in product(pool, repeat=aut.registers))
 
 
 def oracle_post(aut: RegisterAutomaton, word) -> frozenset:
@@ -95,9 +92,14 @@ def oracle_is_synchronizing(aut: RegisterAutomaton, word) -> bool:
 
 def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
     """Shortest synchronizing word over pool data {0..data_pool_size-1}, BFS
-    from L x Z^k with Z = the pool + k fresh data."""
+    from L x Z^k with Z = the pool + k fresh data.  Raises ResourceCapError
+    when that start set would hold more than START_CAP configurations."""
     max_length, max_nodes = params.max_length, params.max_nodes
     pool_size = params.data_pool_size
+    size = len(aut.locations) * (pool_size + aut.registers) ** aut.registers
+    if size > START_CAP:
+        raise ResourceCapError(
+            f"oracle start set of {size} configurations exceeds the cap {START_CAP}")
     memo = {}
     root = (_start(aut, range(pool_size + aut.registers)), 0)
     parents = {root: None}

@@ -10,7 +10,7 @@ completeness/determinism check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -292,7 +292,9 @@ class CompiledAutomaton:
     target), leaving out any with a dangling id, and `covered[loc][letter]`
     is the union of their masks.
     `gap` and `conflict` are the first cell assignment with no enabled
-    transition and with two, in (location, letter, sigma) order, or None.
+    transition and with two, in (location, letter, sigma) order, or None:
+    `gap` is (location, letter, sigma), `conflict` adds the indices of the
+    first two transitions enabled there.
     These fields are tuples, fixed at construction.  `firing` is the one
     table that grows: it maps (letter, sigma, location mask) to what the
     locations in the mask fire under assignment sigma, filled by `fire` on
@@ -373,22 +375,12 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def completeness_gap(aut: RegisterAutomaton):
-    """First (location, letter, sigma) cell with no enabled transition, or None."""
-    return aut.compiled.gap
-
-
 def is_complete(aut: RegisterAutomaton) -> bool:
-    return completeness_gap(aut) is None
-
-
-def determinism_conflict(aut: RegisterAutomaton):
-    """First (location, letter, sigma, i, j) with two enabled transitions, or None."""
-    return aut.compiled.conflict
+    return aut.compiled.gap is None
 
 
 def is_deterministic(aut: RegisterAutomaton) -> bool:
-    return determinism_conflict(aut) is None
+    return aut.compiled.conflict is None
 
 
 def fresh_name(base: str, taken) -> str:
@@ -422,17 +414,10 @@ def complete_with_sink(aut: RegisterAutomaton, skip=()) -> RegisterAutomaton:
     if not gaps:
         return aut
     sink = len(aut.locations)
-    locations = aut.locations + (fresh_name("sink", aut.locations),)
     new = [mk_transition(loc, letter, guard, (), sink) for loc, letter, guard in gaps]
     new += [mk_transition(sink, letter, TRUE, (), sink) for letter in range(len(aut.alphabet))]
-    return RegisterAutomaton(
-        name=aut.name,
-        locations=locations,
-        registers=aut.registers,
-        alphabet=aut.alphabet,
-        transitions=aut.transitions + tuple(new),
-        acceptance=aut.acceptance,
-    )
+    return replace(aut, locations=aut.locations + (fresh_name("sink", aut.locations),),
+                   transitions=aut.transitions + tuple(new))
 
 
 def _balanced_disj(parts: list) -> Constraint:

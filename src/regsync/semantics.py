@@ -13,18 +13,23 @@ fresh datum splits each configuration into the branch where no block equals
 it plus one branch per block that does -- the only point where the unknown
 initial data interact with the word.
 
-The automaton-free half of that step lives in three process-wide tables,
-filled on first use: the split table maps (values, fresh input) to the
-branches above with each branch's input equalities, the write table maps
-(values, update, input) to the canonical values after the update writes the
-input, storing each distinct result once, and the initial-valuation table
-maps k to the sorted canonical block tuples of every partition of range(k).
-They hold tuples of ints and frozensets of registers, no automaton data,
-which is why they may be shared when Engines are not.  The split and write
-tables are emptied wholesale once they hold KERNEL_TABLE_CAP entries; the
-initial valuations (and `submask_unions`, for the DRA reachability check)
-keep one entry per k <= ra.REGISTER_ENUMERATION_CAP.  A seen input's
-equalities are computed in place, since a lookup measured no cheaper.
+The automaton-free half of that step reads two process-wide tables, filled
+on first use: the split table maps (values, fresh input) to the branches
+above with each branch's input equalities, and the write table maps (values,
+update, input) to the canonical values after the update writes the input,
+storing each distinct result once.  They hold tuples of ints and frozensets
+of registers, no automaton data, which is why they may be shared when
+Engines are not, and they are emptied wholesale once they hold
+KERNEL_TABLE_CAP entries.  A seen input's equalities are computed in place,
+since a lookup measured no cheaper.
+
+Data matter only up to bijection, so k registers count only by their
+equality pattern.  Three constants, built at import for every k <=
+ra.REGISTER_ENUMERATION_CAP, spell those patterns: PARTITIONS[k] as
+restricted-growth strings, INITIAL_VALUATIONS[k] as the sorted canonical
+block tuples that are the abstract initial valuations, and SUBMASK_UNIONS[k]
+for the DRA reachability check.  `pattern_of` renames any tuple of data to
+its pattern the same way.
 
 An Engine keeps one memo of per-configuration successors, over masks, for
 the searches: sets are int bitmasks over configurations the Engine interns
@@ -67,7 +72,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from .ra import RegisterAutomaton, StructuralError, check_validated
+from .ra import REGISTER_ENUMERATION_CAP, RegisterAutomaton, StructuralError, check_validated
 
 FRESH = -1
 # What a concrete walk stores in place of a datum its word no longer reads
@@ -222,18 +227,39 @@ def is_synchronized(aset: AbstractConfigSet) -> bool:
     return locs & (locs - 1) == 0 and all(v >= 0 for v in values)
 
 
-def _partitions(k: int):
-    """All set partitions of range(k) as restricted-growth strings."""
-    def rec(prefix, top):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        for b in range(top + 2):
-            yield from rec(prefix + [b], max(top, b))
-    if k == 0:
-        yield ()
-        return
-    yield from rec([0], 0)
+def pattern_of(values) -> tuple:
+    """`values` up to a bijection of data: each value renumbered 0, 1, ...
+    in the order of its first occurrence."""
+    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    return tuple(map(ids.__getitem__, values))
+
+
+def _register_patterns() -> tuple:
+    """Entry k: every set partition of range(k) as a restricted-growth
+    string, in increasing order."""
+    rows = [((),)]
+    for _ in range(REGISTER_ENUMERATION_CAP):
+        rows.append(tuple(rgs + (b,) for rgs in rows[-1] for b in range(max(rgs, default=-1) + 2)))
+    return tuple(rows)
+
+
+def _submask_table() -> tuple:
+    """Entry k: for each up < 2**k, the mask with bit s set for each
+    submask s of up, so `gm & SUBMASK_UNIONS[k][up]` tests whether guard
+    mask gm holds under some assignment touching only registers in up."""
+    rows = [1]
+    for up in range(1, 1 << REGISTER_ENUMERATION_CAP):
+        # the submasks of up without its lowest bit, each with and without it
+        below = rows[up & (up - 1)]
+        rows.append(below | below << (up & -up))
+    return tuple(tuple(rows[:1 << k]) for k in range(REGISTER_ENUMERATION_CAP + 1))
+
+
+# The register patterns, indexed by k (see the module docstring).
+PARTITIONS = _register_patterns()
+INITIAL_VALUATIONS = tuple(tuple(sorted(tuple(map(sym, rgs)) for rgs in row))
+                           for row in PARTITIONS)
+SUBMASK_UNIONS = _submask_table()
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +269,6 @@ def _partitions(k: int):
 _SPLITS: dict = {}  # (values, fresh input) -> ((variant values, sigma), ...)
 _WRITES: dict = {}  # (values, update, inp) -> canonical values after the write
 _WRITTEN: dict = {}  # each distinct value of _WRITES -> itself, stored once
-_INITIAL_VALUATIONS: dict = {}  # k -> sorted canonical block tuples
-_SUBMASK_UNIONS: dict = {}  # k -> per register set, the mask of its subsets
 
 
 def _fresh_split(values: tuple, inp: int) -> tuple:
@@ -281,31 +305,6 @@ def _write(key: tuple) -> tuple:
         _WRITTEN.clear()
     nv = _WRITES[key] = _WRITTEN.setdefault(nv, nv)
     return nv
-
-
-def initial_valuations(k: int) -> tuple:
-    """The sorted canonical block tuples of every partition of range(k): the
-    abstract initial valuations, one per equality pattern of k registers."""
-    valuations = _INITIAL_VALUATIONS.get(k)
-    if valuations is None:
-        valuations = _INITIAL_VALUATIONS[k] = tuple(sorted(
-            tuple(map(sym, rgs)) for rgs in _partitions(k)))
-    return valuations
-
-
-def submask_unions(k: int) -> tuple:
-    """Entry `up` < 2**k is the mask with bit s set for each submask s of
-    `up`: `gm & submask_unions(k)[up]` tests whether guard mask gm holds
-    under some assignment touching only registers in `up`."""
-    unions = _SUBMASK_UNIONS.get(k)
-    if unions is None:
-        rows = [1]
-        for up in range(1, 1 << k):
-            # the submasks of up without its lowest bit, each with and without it
-            below = rows[up & (up - 1)]
-            rows.append(below | below << (up & -up))
-        unions = _SUBMASK_UNIONS[k] = tuple(rows)
-    return unions
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ class Engine:
 
     def abstract_initial(self) -> AbstractConfigSet:
         return AbstractConfigSet.from_groups(
-            dict.fromkeys(initial_valuations(self.k), (1 << self.n_locations) - 1), 0)
+            dict.fromkeys(INITIAL_VALUATIONS[self.k], (1 << self.n_locations) - 1), 0)
 
     def abstract_post(self, aset: AbstractConfigSet, letter: int, choice: int) -> AbstractConfigSet:
         m = aset.word_data_count

@@ -311,12 +311,11 @@ def reference_abstract_successors(eng, config, letter, inp, fresh):
 
 @contextlib.contextmanager
 def kernel_tables(cap=None):
-    """Empty process-wide split, write, initial-valuation and submask tables
-    of `semantics` for the block, with the split and write tables capped at
-    `cap` entries when it is given; the old tables and cap after it."""
+    """Empty process-wide split and write tables of `semantics` for the
+    block, capped at `cap` entries when it is given; the old tables and cap
+    after it."""
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_SPLITS", "_WRITES", "_WRITTEN", "_INITIAL_VALUATIONS",
-                     "_SUBMASK_UNIONS"):
+        for name in ("_SPLITS", "_WRITES", "_WRITTEN"):
             patch.setattr(semantics, name, {})
         if cap is not None:
             patch.setattr(semantics, "KERNEL_TABLE_CAP", cap)
@@ -378,6 +377,21 @@ def reference_accepts(aut, word) -> bool:
     for letter, choice in choice_of_word(word):
         aset = eng.abstract_post(aset, letter, choice)
     return any(loc in acc.accepting for loc, _ in aset.configs)
+
+
+def reference_same_pattern(a, b) -> bool:
+    """Reference for comparing semantics.pattern_of: does a bijection of
+    data map the tuple `a` onto `b` entry by entry, that is, are a[i] and
+    a[j] equal exactly when b[i] and b[j] are?"""
+    return len(a) == len(b) and all((a[i] == a[j]) == (b[i] == b[j])
+                                    for i in range(len(a)) for j in range(len(a)))
+
+
+def reference_partitions(k: int) -> list:
+    """Reference for semantics.PARTITIONS[k]: the restricted-growth strings
+    among all k-tuples over range(k), in increasing order."""
+    return [p for p in itertools.product(range(k), repeat=k)
+            if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(k))]
 
 
 def reference_word_data(word) -> list:

@@ -459,6 +459,12 @@ class TestOtherCommands:
         code, _, err = run(capsys, "oracle", chain2_file, "--max-len", "3", "--max-nodes", "0")
         assert code == 2 and "exceeded 0 nodes" in err
 
+    def test_oracle_start_set_cap(self, capsys, chain2_file, monkeypatch):
+        monkeypatch.setattr("regsync.oracle.START_CAP", 100)
+        code, _, err = run(capsys, "oracle", chain2_file, "--max-len", "2", "--pool", "3")
+        assert code == 2
+        assert "start set of 150 configurations exceeds the cap 100" in err
+
     def test_inconclusive_names_its_phase(self, capsys, chain2_file):
         # merge_heavy.ra: a 3-register DRA whose shrink needs 11 to 20 nodes
         # and whose merge then searches a few hundred orbits exhaustively.

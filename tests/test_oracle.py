@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from regsync import oracle
 from regsync.gadgets import gen_chain_dra, gen_tower_nra
 from regsync.oracle import (
     OracleParams,
@@ -12,7 +13,7 @@ from regsync.oracle import (
     oracle_post,
     oracle_search,
 )
-from regsync.ra import TRUE, RegisterAutomaton, mk_transition
+from regsync.ra import TRUE, RegisterAutomaton, ResourceCapError, mk_transition
 from regsync.semantics import DEFAULT_MAX_NODES
 from helpers import oracle_search_concrete, random_complete_automaton
 
@@ -132,3 +133,15 @@ class TestParams:
     def test_default_node_budget_is_the_searches_default(self):
         # `regsync oracle` without --max-nodes and a library call share one budget
         assert OracleParams(1, 1).max_nodes == DEFAULT_MAX_NODES
+
+    def test_start_set_over_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # chain(2): 6 locations x (3 pool + 2 fresh data)^2 = 150 configurations
+        aut, params = gen_chain_dra(2), OracleParams(2, 3)
+        monkeypatch.setattr(oracle, "START_CAP", 100)
+        monkeypatch.setattr(oracle, "_start", None)  # never reached
+        with pytest.raises(ResourceCapError,
+                           match="start set of 150 configurations exceeds the cap 100"):
+            oracle_search(aut, params)
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "START_CAP", 150)
+        assert oracle_search(aut, params).found_length is None

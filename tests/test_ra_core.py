@@ -12,8 +12,6 @@ from regsync.ra import (
     Not,
     StructuralError,
     complete_with_sink,
-    completeness_gap,
-    determinism_conflict,
     eval_constraint,
     guard_mask,
     is_complete,
@@ -281,7 +279,7 @@ class TestCompletenessDeterminism:
 
     def test_missing_inequality_case(self):
         aut = automaton("gapped", ["q0"], 1, ["a"], [("q0", "a", Eq(0), (), "q0")])
-        gap = completeness_gap(aut)
+        gap = aut.compiled.gap
         assert gap == (0, 0, 0)  # the all-atoms-false cell is uncovered
         assert not is_complete(aut)
 
@@ -303,14 +301,14 @@ class TestCompletenessDeterminism:
                                       tuple(t for t in aut.transitions if rng.random() < 0.7))
             for case in (aut, holed):
                 gap, conflict = first_gap_and_conflict(case)
-                assert completeness_gap(case) == gap
-                assert determinism_conflict(case) == conflict
+                assert case.compiled.gap == gap
+                assert case.compiled.conflict == conflict
 
     def test_determinism_witness(self):
         aut = automaton("nd", ["q0", "q1"], 1, ["a"],
                         [("q0", "a", TRUE, {0}, "q0"),
                          ("q0", "a", Eq(0), (), "q1")])
-        loc, letter, sigma, first, second = determinism_conflict(aut)
+        loc, letter, sigma, first, second = aut.compiled.conflict
         assert (loc, letter) == (0, 0)
         assert sigma == 1  # both fire exactly when the input matches r0
         assert first != second

@@ -19,6 +19,7 @@ from regsync.semantics import (
     choice_of_word,
     instantiate_choice_word,
     is_synchronized,
+    pattern_of,
     post_config,
     post_set,
     sym,
@@ -32,7 +33,9 @@ from helpers import (
     random_complete_automaton,
     reference_abstract_successors,
     reference_choice_of_word,
+    reference_partitions,
     reference_post_set,
+    reference_same_pattern,
     reference_word_data,
 )
 
@@ -105,6 +108,18 @@ class TestCanonicalize:
         aset = self.mk([(loc, tuple(vals)) for loc, vals in raw])
         once = canonicalize(aset)
         assert canonicalize(once) == once
+
+
+class TestPatternOf:
+    @given(st.lists(st.integers(-2, 3), max_size=6), st.lists(st.integers(-2, 3), max_size=6),
+           st.permutations(range(-2, 4)))
+    def test_equal_exactly_up_to_a_bijection(self, a, b, perm):
+        rename = dict(zip(range(-2, 4), perm))
+        renamed = [rename[v] for v in a]
+        for other in (b, renamed, a[::-1]):
+            assert (pattern_of(a) == pattern_of(other)) == reference_same_pattern(a, other)
+        assert pattern_of(a) == pattern_of(renamed)
+        assert pattern_of(a) in semantics.PARTITIONS[len(a)]
 
 
 class TestAbstractConfigSet:
@@ -446,19 +461,22 @@ class TestAbstractSuccessors:
 
 
 class TestKernelTables:
-    def test_initial_valuations_are_the_partitions(self, empty_kernel_tables):
-        for k, bell in enumerate([1, 1, 2, 5, 15, 52, 203]):
-            valuations = semantics.initial_valuations(k)
-            assert len(valuations) == bell
-            assert valuations == tuple(sorted(tuple(map(sym, rgs))
-                                              for rgs in semantics._partitions(k)))
+    def test_initial_valuations_are_the_partitions(self):
+        bells = [1, 1, 2, 5, 15, 52, 203]
+        assert len(bells) == len(semantics.PARTITIONS) == len(semantics.INITIAL_VALUATIONS)
+        for k, bell in enumerate(bells):
+            partitions = semantics.PARTITIONS[k]
+            assert len(partitions) == bell
+            assert partitions == tuple(reference_partitions(k))
+            valuations = semantics.INITIAL_VALUATIONS[k]
+            assert valuations == tuple(sorted(tuple(map(sym, rgs)) for rgs in partitions))
             assert all(semantics._canon_values(v) == v for v in valuations)
-            assert semantics.initial_valuations(k) is valuations
-        assert len(semantics._INITIAL_VALUATIONS) == 7
+            # the order of the non-emptiness roots: sym reverses the sorted order
+            assert partitions == tuple(tuple(map(sym, v)) for v in reversed(valuations))
 
-    def test_submask_unions(self, empty_kernel_tables):
-        for k in range(7):
-            unions = semantics.submask_unions(k)
+    def test_submask_unions(self):
+        assert len(semantics.SUBMASK_UNIONS) == ra.REGISTER_ENUMERATION_CAP + 1
+        for k, unions in enumerate(semantics.SUBMASK_UNIONS):
             assert len(unions) == 1 << k
             for up, down in enumerate(unions):
                 assert down == sum(1 << s for s in range(1 << k) if not s & ~up)
