@@ -66,7 +66,9 @@ def towers(n_max, budget):
         need = tower(n)
         if n == 1:
             length = oracle_min_length(aut, OracleParams(6, 3))
-            eff = oracle_min_data_efficiency(aut, OracleParams(6, 3))
+            # once pool 3 has a word, only pools 1 and 2 are left to search
+            eff = None if length is None else (
+                oracle_min_data_efficiency(aut, OracleParams(6, 2)) or 3)
             print(f"tower(1): oracle min length {length}, min data {eff} (= tower(1) = {need})")
             continue
         t0 = time.perf_counter()

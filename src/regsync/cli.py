@@ -19,12 +19,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import dra, gadgets, nra, oracle, semantics
 from .dsl import DslError, SourceDocument, parse_automaton, serialize_automaton
-from .ra import RegisterAutomaton, ResourceCapError, StructuralError
+from .ra import RegisterAutomaton, ResourceCapError
 from .semantics import abstract_run, choice_of_word, is_synchronized, word_data
 
 EXIT_OK = 0
@@ -196,7 +196,9 @@ def _cmd_oracle(args) -> Report:
     length = oracle.oracle_min_length(aut, params)
     if length is None:
         return Report("oracle", "no word within bounds", EXIT_NEGATIVE)
-    efficiency = oracle.oracle_min_data_efficiency(aut, params)
+    # the pool-P search just found a word: only the smaller pools are open
+    efficiency = oracle.oracle_min_data_efficiency(
+        aut, replace(params, data_pool_size=pool - 1)) or pool
     return Report("oracle", "witness", EXIT_OK,
                   lines=[f"min length: {length}", f"min data efficiency: {efficiency}"],
                   stats={"depth": length})
@@ -268,10 +270,10 @@ def main(argv=None) -> int:
         for diag in err.diagnostics:
             print(f"{err.provenance}:{diag}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, StructuralError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceCapError, dra.InconclusiveError) as err:
+    except ResourceCapError as err:
         print(f"inconclusive: {err}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return _emit(report, args.format, started)

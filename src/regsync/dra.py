@@ -13,9 +13,10 @@ merging over a canonical 2k+1-datum pool, sound because any mergeable pair
 is mergeable within such a pool.  A pair holds at most 2k data and every
 datum it does not hold acts alike, so the pair graph is unchanged by any
 bijection of the pool: each merge is a breadth-first search over pairs up
-to that bijection, under a per-call node budget.  Also houses the classical
-DFA pairwise algorithm and the 1-register decision procedure via the DFA
-reduction over a 3-datum pool.
+to that bijection, under a per-call node budget.  Each budget is a
+`semantics._Budget`, which raises InconclusiveError naming its phase,
+"shrink" or "merge".  Also houses the classical DFA pairwise algorithm and
+the 1-register decision procedure via the DFA reduction over a 3-datum pool.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .ra import RegisterAutomaton, StructuralError, is_complete, is_deterministi
 from .semantics import (
     SUBMASK_UNIONS,
     Engine,
+    InconclusiveError,  # what the DRA searches raise, importable from here
     _Budget,
-    _Exhausted,
     _search_bfs,
     _ungrouped,
     bfs_path,
@@ -38,16 +39,6 @@ from .semantics import (
     instantiate_choice_word,
     pattern_of,
 )
-
-
-class InconclusiveError(RuntimeError):
-    """Search budget exhausted without an answer either way; `phase` names
-    the search that ran out: "shrink" or "merge"."""
-
-    def __init__(self, message: str, explored: int, phase: str):
-        super().__init__(message)
-        self.explored = explored
-        self.phase = phase
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
     spending more than `max_nodes` (None: semantics.DEFAULT_MAX_NODES) raises
     InconclusiveError.
     """
-    budget = _Budget(max_nodes)
+    budget = _Budget(max_nodes, "shrink")
     _require_dra(aut)
     eng = engine_for(aut)
     k = aut.registers
@@ -159,11 +150,7 @@ def shrink_word(aut: RegisterAutomaton, max_nodes: Optional[int] = None):
             dirty_locs |= locs
         loc0 = (dirty_locs & -dirty_locs).bit_length() - 1  # the least dirty location
         root = eng.mask_root((loc0, values) for values, locs in dirty if locs >> loc0 & 1)
-        try:
-            path = _search_bfs(eng, root, current.word_data_count, clean, None, k, budget)
-        except _Exhausted:
-            raise InconclusiveError(f"shrink search exceeded {budget.limit} nodes",
-                                    budget.spent, "shrink") from None
+        path = _search_bfs(eng, root, current.word_data_count, clean, None, k, budget)
         if path is None:
             # The finite extension space is exhausted: no word over <= k data
             # cleans this location, hence no shrink word and no sync word.
@@ -218,7 +205,7 @@ def _orbit_key(pair) -> tuple:
 
 
 def _merge(eng: Engine, q1, q2, pool, max_nodes: Optional[int]) -> Optional[tuple]:
-    budget = _Budget(max_nodes)
+    budget = _Budget(max_nodes, "merge")
     if q1 == q2:
         return ()
     key = _orbit_key((q1, q2))
@@ -234,14 +221,12 @@ def _merge(eng: Engine, q1, q2, pool, max_nodes: Optional[int]) -> Optional[tupl
                 c1 = eng.post_config(pair[0], letter, datum)[0]
                 c2 = eng.post_config(pair[1], letter, datum)[0]
                 if c1 == c2:
-                    return tuple(bfs_path(parents, key)[1]) + ((letter, datum),)
+                    return bfs_path(parents, key) + ((letter, datum),)
                 nxt = (c1, c2)
                 nkey = _orbit_key(nxt)
                 if nkey in parents:
                     continue
-                if not budget.tick():
-                    raise InconclusiveError(
-                        f"merge search exceeded {budget.limit} nodes", budget.spent, "merge")
+                budget.tick()
                 parents[nkey] = (key, (letter, datum))
                 queue.append((nxt, nkey))
     return None
@@ -316,7 +301,7 @@ def _dfa_merge(dfa: Dfa, s1: int, s2: int) -> Optional[tuple]:
                 continue
             parents[nxt] = (pair, letter)
             if len(nxt) == 1:
-                return tuple(bfs_path(parents, nxt)[1])
+                return bfs_path(parents, nxt)
             queue.append(nxt)
     return None
 

@@ -43,7 +43,7 @@ import copy
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ra import (
@@ -285,17 +285,6 @@ def format_guard(guard: Constraint) -> str:
 # Automaton parsing
 
 
-@dataclass
-class _Draft:
-    name: Optional[str] = None
-    registers: Optional[int] = None
-    alphabet: Optional[list] = None
-    locations: list = field(default_factory=list)
-    initial: Optional[str] = None
-    accepting: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)  # (lineno, raw, words) per `trans` line
-
-
 _WORD = re.compile(r"\S+")
 
 
@@ -327,7 +316,9 @@ def parse_automaton(doc) -> RegisterAutomaton:
 
 def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
     diags = []
-    draft = _Draft()
+    name = registers = alphabet = initial = None
+    locations, accepting = [], []
+    trans_lines = []  # (lineno, raw, words) per `trans` line
 
     def fail(i, message):  # at word i of the current line
         diags.append(ParseDiagnostic(lineno, _column(raw, i), message))
@@ -338,79 +329,78 @@ def _parse_dsl(text: str, provenance: str) -> RegisterAutomaton:
             continue
         head = words[0]
         if head == "trans":
-            draft.transitions.append((lineno, raw, words))
+            trans_lines.append((lineno, raw, words))
         elif head == "automaton":
             if len(words) != 2:
                 fail(0, "expected: automaton <name>")
             else:
-                draft.name = words[1]
+                name = words[1]
         elif head == "registers":
             if len(words) != 2 or not words[1].isdecimal():
                 fail(0, "expected: registers <k>")
             else:
                 count = _index(words[1])  # None: more digits than int() converts
-                draft.registers = REGISTER_ENUMERATION_CAP + 1 if count is None else count
-                if draft.registers > REGISTER_ENUMERATION_CAP:
+                registers = REGISTER_ENUMERATION_CAP + 1 if count is None else count
+                if registers > REGISTER_ENUMERATION_CAP:
                     fail(1, f"register count {words[1] if count is None else count} "
                             f"exceeds the cap {REGISTER_ENUMERATION_CAP}")
         elif head == "alphabet":
-            draft.alphabet = words[1:]
+            alphabet = words[1:]
         elif head == "location":
             if len(words) == 1:
                 fail(0, "expected: location <name> ...")
                 continue
-            name = words[1]
-            if name in draft.locations:
-                fail(1, f"duplicate location name {name!r}")
+            loc = words[1]
+            if loc in locations:
+                fail(1, f"duplicate location name {loc!r}")
                 continue
-            draft.locations.append(name)
+            locations.append(loc)
             for i in range(2, len(words)):
                 if words[i] == "initial":
-                    if draft.initial is not None:
+                    if initial is not None:
                         fail(i, "second initial location")
-                    draft.initial = name
+                    initial = loc
                 elif words[i] == "accepting":
-                    draft.accepting.append(name)
+                    accepting.append(loc)
                 else:
                     fail(i, f"unknown location flag {words[i]!r}")
         else:
             fail(0, f"unknown directive {head!r}")
-    if draft.name is None:
+    if name is None:
         diags.append(ParseDiagnostic(1, 1, "missing 'automaton <name>' header"))
-    if draft.registers is None:
+    if registers is None:
         diags.append(ParseDiagnostic(1, 1, "missing 'registers <k>' header"))
-    if draft.alphabet is None:
+    if alphabet is None:
         diags.append(ParseDiagnostic(1, 1, "missing 'alphabet ...' header"))
     seen_letters = set()
-    for letter in draft.alphabet or ():
+    for letter in alphabet or ():
         if letter in seen_letters:
             diags.append(ParseDiagnostic(1, 1, f"duplicate letter name {letter!r}"))
         seen_letters.add(letter)
     if diags:
         raise DslError(diags, provenance)
 
-    loc_ids = {name: i for i, name in enumerate(draft.locations)}
-    letter_ids = {name: i for i, name in enumerate(draft.alphabet)}
-    transitions = [_parse_transition(lineno, raw, words, loc_ids, letter_ids,
-                                     draft.registers, diags)
-                   for lineno, raw, words in draft.transitions]
+    loc_ids = {loc: i for i, loc in enumerate(locations)}
+    letter_ids = {letter: i for i, letter in enumerate(alphabet)}
+    transitions = [_parse_transition(lineno, raw, words, loc_ids, letter_ids, registers, diags)
+                   for lineno, raw, words in trans_lines]
     if diags:
         raise DslError(diags, provenance)
 
     acceptance = None
-    if draft.initial is not None or draft.accepting:
-        if draft.initial is None:
+    if initial is not None or accepting:
+        if initial is None:
             raise DslError([ParseDiagnostic(1, 1,
                                             "accepting locations without an initial location")],
                            provenance)
         acceptance = Acceptance(
-            initial=loc_ids[draft.initial],
-            accepting=frozenset(loc_ids[name] for name in draft.accepting))
+            initial=loc_ids[initial],
+            accepting=frozenset(loc_ids[loc] for loc in accepting))
     return RegisterAutomaton(
-        name=draft.name,
-        locations=tuple(draft.locations),
-        registers=draft.registers,
-        alphabet=tuple(draft.alphabet),
+        name=name,
+        locations=tuple(locations),
+        registers=registers,
+        alphabet=tuple(alphabet),
         transitions=tuple(transitions),
         acceptance=acceptance,
     )

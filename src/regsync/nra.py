@@ -41,8 +41,8 @@ from .semantics import (
     INITIAL_VALUATIONS,
     PARTITIONS,
     Engine,
+    InconclusiveError,
     _Budget,
-    _Exhausted,
     _grouped,
     _search_bfs,
     bfs_path,
@@ -99,18 +99,17 @@ def _search(eng: Engine, configs, goal, budget: SearchBudget, empty_word: bool):
     """The outcome of the pruned breadth-first search from the set `configs`
     for a set of interned ids satisfying `goal`; `empty_word` lets the empty
     word be the witness."""
-    tick = _Budget(budget.max_nodes)
+    nodes = _Budget(budget.max_nodes, "search")
     root = eng.mask_root(configs)
     try:
         path = () if empty_word and goal(root) else _search_bfs(
-            eng, root, 0, goal, budget.max_length, budget.max_distinct_data, tick)
-    except _Exhausted:
-        return BudgetExhausted(tick.spent, tick.queued, tick.pruned)
+            eng, root, 0, goal, budget.max_length, budget.max_distinct_data, nodes)
+    except InconclusiveError:
+        return BudgetExhausted(nodes.spent, nodes.queued, nodes.pruned)
     if path is None:
-        return NoneWithinBound(tick.spent, tick.queued, tick.pruned)
-    cword = tuple(path)
-    return Witness(cword, instantiate_choice_word(cword, range(len(cword))), tick.spent,
-                   tick.queued, tick.pruned)
+        return NoneWithinBound(nodes.spent, nodes.queued, nodes.pruned)
+    return Witness(path, instantiate_choice_word(path, range(len(path))), nodes.spent,
+                   nodes.queued, nodes.pruned)
 
 
 def bounded_sync_search(aut: RegisterAutomaton, budget: SearchBudget, bfs: bool = True):
@@ -202,7 +201,7 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
         raise ValueError(f"bound must be >= 0, got {bound}")
     eng = engine_for(aut)
     acc = aut.acceptance
-    tick = _Budget(max_nodes)
+    nodes = _Budget(max_nodes, "search")
 
     # One root per equality pattern, each block b read as the natural b
     roots = [(acc.initial, rgs) for rgs in PARTITIONS[aut.registers]]
@@ -210,29 +209,31 @@ def nonemptiness_witness(aut: RegisterAutomaton, bound: int,
     runs = {root: (root[1], len(set(root[1])), 0) for root in roots}
 
     def witness(state):
-        word = tuple(bfs_path(parents, state)[1])
-        return Witness(choice_of_word(word), word, tick.spent, len(parents))
+        word = bfs_path(parents, state)
+        return Witness(choice_of_word(word), word, nodes.spent, len(parents))
 
     if acc.initial in acc.accepting:
         return witness(roots[0])
     queue = deque(roots)
-    while queue:
-        state = queue.popleft()
-        valuation, fresh, depth = runs[state]
-        if depth >= bound:
-            continue
-        inputs = list(dict.fromkeys(valuation)) + [fresh]  # in pattern-code order
-        for letter in range(eng.n_letters):
-            for datum in inputs:
-                if not tick.tick():
-                    return BudgetExhausted(tick.spent, len(parents))
-                for tgt, nv in eng.post_config((state[0], valuation), letter, datum):
-                    nxt = (tgt, pattern_of(nv))
-                    if nxt in parents:
-                        continue
-                    parents[nxt] = (state, (letter, datum))
-                    if tgt in acc.accepting:
-                        return witness(nxt)
-                    runs[nxt] = (nv, fresh + (datum == fresh), depth + 1)
-                    queue.append(nxt)
-    return NoneWithinBound(tick.spent, len(parents))
+    try:
+        while queue:
+            state = queue.popleft()
+            valuation, fresh, depth = runs[state]
+            if depth >= bound:
+                continue
+            inputs = list(dict.fromkeys(valuation)) + [fresh]  # in pattern-code order
+            for letter in range(eng.n_letters):
+                for datum in inputs:
+                    nodes.tick()
+                    for tgt, nv in eng.post_config((state[0], valuation), letter, datum):
+                        nxt = (tgt, pattern_of(nv))
+                        if nxt in parents:
+                            continue
+                        parents[nxt] = (state, (letter, datum))
+                        if tgt in acc.accepting:
+                            return witness(nxt)
+                        runs[nxt] = (nv, fresh + (datum == fresh), depth + 1)
+                        queue.append(nxt)
+    except InconclusiveError:
+        return BudgetExhausted(nodes.spent, len(parents))
+    return NoneWithinBound(nodes.spent, len(parents))

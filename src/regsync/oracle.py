@@ -14,6 +14,8 @@ next unused pool value), keyed by the pair (successor set, number of used
 data) so that equal states reached with different data budgets are not
 conflated.  For deterministic automata successor sets only shrink, so the
 search saturates and the "no word" answer is exact rather than bounded.
+Of `semantics` the search borrows only the node budget (`_Budget`, phase
+"oracle") and the parent walk `bfs_path`; its steps stay its own.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import product
 from typing import Optional
 
 from .ra import RegisterAutomaton, ResourceCapError, eval_constraint
-from .semantics import DEFAULT_MAX_NODES
+from .semantics import DEFAULT_MAX_NODES, _Budget, bfs_path
 
 # Configurations the word search's start set L x (pool + k fresh)^k may hold;
 # it is built whole before the node budget counts a single node.
@@ -93,9 +95,10 @@ def oracle_is_synchronizing(aut: RegisterAutomaton, word) -> bool:
 def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
     """Shortest synchronizing word over pool data {0..data_pool_size-1}, BFS
     from L x Z^k with Z = the pool + k fresh data.  Raises ResourceCapError
-    when that start set would hold more than START_CAP configurations."""
-    max_length, max_nodes = params.max_length, params.max_nodes
-    pool_size = params.data_pool_size
+    when that start set would hold more than START_CAP configurations, and
+    its subclass InconclusiveError, phase "oracle", once the search expands
+    more than `max_nodes` moves."""
+    max_length, pool_size = params.max_length, params.data_pool_size
     size = len(aut.locations) * (pool_size + aut.registers) ** aut.registers
     if size > START_CAP:
         raise ResourceCapError(
@@ -104,7 +107,7 @@ def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
     root = (_start(aut, range(pool_size + aut.registers)), 0)
     parents = {root: None}
     frontier = deque([(root, 0)])
-    explored = 0
+    budget = _Budget(params.max_nodes, "oracle")
     saturated = True
     while frontier:
         (configs, used), depth = frontier.popleft()
@@ -113,25 +116,16 @@ def oracle_search(aut: RegisterAutomaton, params: OracleParams) -> OracleSearch:
             continue
         for letter in range(len(aut.alphabet)):
             for datum in range(min(used + 1, pool_size)):
-                explored += 1
-                if explored > max_nodes:
-                    raise ResourceCapError(
-                        f"oracle search exceeded {max_nodes} nodes")
+                budget.tick()
                 nxt = _post_once(aut, configs, letter, datum, memo)
                 state = (nxt, max(used, datum + 1))
                 if state in parents:
                     continue
                 parents[state] = ((configs, used), (letter, datum))
                 if len(nxt) == 1:
-                    word = []
-                    cur = state
-                    while parents[cur] is not None:
-                        cur, step = parents[cur]
-                        word.append(step)
-                    word.reverse()
-                    return OracleSearch(depth + 1, tuple(word), False, explored)
+                    return OracleSearch(depth + 1, bfs_path(parents, state), False, budget.spent)
                 frontier.append((state, depth + 1))
-    return OracleSearch(None, None, saturated, explored)
+    return OracleSearch(None, None, saturated, budget.spent)
 
 
 def oracle_min_length(aut: RegisterAutomaton, params: OracleParams) -> Optional[int]:

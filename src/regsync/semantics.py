@@ -65,6 +65,10 @@ bounded NRA searches and the DRA shrink alike.  It prunes masks by
 subsumption (the antichain idea of De Wulf, Doyen, Henzinger and Raskin,
 CAV 2006), and on a length-bounded search's last layer, which is never
 expanded, lets `mask_post` stop once its partial successor fails the goal.
+
+Every search in the package runs under one node budget, a `_Budget`, that
+raises InconclusiveError once spent: an exhausted budget means
+"inconclusive", never "no".  The NRA entry points return BudgetExhausted.
 """
 
 from __future__ import annotations
@@ -72,7 +76,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from .ra import REGISTER_ENUMERATION_CAP, RegisterAutomaton, StructuralError, check_validated
+from .ra import (REGISTER_ENUMERATION_CAP, RegisterAutomaton, ResourceCapError, StructuralError,
+                 check_validated)
 
 FRESH = -1
 # What a concrete walk stores in place of a datum its word no longer reads
@@ -602,15 +607,14 @@ def engine_for(aut: RegisterAutomaton) -> Engine:
     return engine
 
 
-def bfs_path(parents: dict, node):
-    """(root, steps) of a breadth-first search's `parents` map, in which each
-    reached node maps to (its parent, the step taken) and each root to None."""
+def bfs_path(parents: dict, node) -> tuple:
+    """The steps to `node` from its root in a breadth-first search's `parents`
+    map: each reached node maps to (its parent, the step taken), a root to None."""
     steps = []
     while parents[node] is not None:
         node, step = parents[node]
         steps.append(step)
-    steps.reverse()
-    return node, steps
+    return tuple(reversed(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -619,31 +623,39 @@ def bfs_path(parents: dict, node):
 DEFAULT_MAX_NODES = 1_000_000
 
 
-class _Exhausted(Exception):
-    """A search spent its node budget."""
+class InconclusiveError(ResourceCapError):
+    """A search spent its `explored` nodes without an answer either way;
+    `phase` names it: "shrink", "merge", "search" (the NRA searches, whose
+    entry points return BudgetExhausted instead) or "oracle"."""
+
+    def __init__(self, message: str, explored: int, phase: str):
+        super().__init__(message)
+        self.explored = explored
+        self.phase = phase
 
 
 class _Budget:
-    """A node budget; None means DEFAULT_MAX_NODES.
-    `tick` counts one node and is False once more than `limit` are counted;
-    `queued` counts the sets a search adds to its dedup table, and `pruned`
-    those it drops by subsumption."""
+    """The node budget of one search named `phase`; None means
+    DEFAULT_MAX_NODES.  `tick` counts one node and raises InconclusiveError
+    once more than `limit` are counted; `queued` counts the sets a search
+    adds to its dedup table, and `pruned` those it drops by subsumption."""
 
-    __slots__ = ("limit", "spent", "queued", "pruned")
+    __slots__ = ("limit", "phase", "spent", "queued", "pruned")
 
-    def __init__(self, max_nodes: Optional[int]):
+    def __init__(self, max_nodes: Optional[int], phase: str):
         if max_nodes is None:
             max_nodes = DEFAULT_MAX_NODES
         if max_nodes < 0:
             raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
         self.limit = max_nodes
-        self.spent = 0
-        self.queued = 0
-        self.pruned = 0
+        self.phase = phase
+        self.spent = self.queued = self.pruned = 0
 
-    def tick(self) -> bool:
+    def tick(self) -> None:
         self.spent += 1
-        return self.spent <= self.limit
+        if self.spent > self.limit:
+            raise InconclusiveError(f"{self.phase} search exceeded {self.limit} nodes",
+                                    self.spent, self.phase)
 
 
 def _moves(n_letters: int, m: int, max_data: Optional[int]):
@@ -670,7 +682,7 @@ def _subsumed(buckets: dict, mask: int) -> bool:
 
 def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
                 max_length: Optional[int], max_data: Optional[int],
-                budget: _Budget) -> Optional[list]:
+                budget: _Budget) -> Optional[tuple]:
     """The lexicographically least shortest nonempty move path from `root`,
     a mask of `eng`'s interned ids holding `data` word data, to a mask
     satisfying `goal`, of at most `max_length` moves and `max_data` word
@@ -679,7 +691,7 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
     Each step is `eng.mask_post`.  Moves are expanded in (letter, choice)
     order, first in first out, and each (mask, word data) node enters the
     dedup table once (counted in `budget.queued`); every expanded move ticks
-    `budget`, and the search raises _Exhausted once the budget is spent.
+    `budget`, which raises InconclusiveError once it is spent.
 
     A new node that fails `goal` is dropped (counted in `budget.pruned`)
     when the search already kept a node with the same word data count whose
@@ -706,8 +718,7 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
         if node_moves is None:
             node_moves = moves[m] = _moves(eng.n_letters, m, max_data)
         for letter, choice in node_moves:
-            if not budget.tick():
-                raise _Exhausted
+            budget.tick()
             nxt = eng.mask_post(s, m, letter, choice, goal if last else None)
             if last and not goal(nxt):
                 continue  # a last-layer mask that is no witness is not stored
@@ -717,7 +728,7 @@ def _search_bfs(eng: Engine, root: int, data: int, goal: Callable,
             parents[key] = (node, (letter, choice))
             budget.queued += 1
             if goal(nxt):
-                return bfs_path(parents, key)[1]
+                return bfs_path(parents, key)
             buckets = kept.setdefault(key[1], {})
             if _subsumed(buckets, nxt):
                 budget.pruned += 1

@@ -31,8 +31,8 @@ from regsync.ra import (
 from regsync.semantics import (
     FRESH,
     AbstractConfigSet,
+    InconclusiveError,
     _Budget,
-    _Exhausted,
     _canon_values,
     bfs_path,
     choice_of_word,
@@ -197,7 +197,7 @@ def concrete_merge(eng, q1, q2, pool):
                     continue
                 parents[nxt] = (pair, (letter, datum))
                 if len(nxt) == 1:
-                    return tuple(bfs_path(parents, nxt)[1])
+                    return bfs_path(parents, nxt)
                 queue.append(nxt)
     return None
 
@@ -238,15 +238,14 @@ def reference_search_bfs(eng, root, goal, max_length, max_data, budget, tables):
         if max_length is not None and depth >= max_length:
             continue
         for letter, choice in _ref_moves(eng, aset, max_data):
-            if not budget.tick():
-                raise _Exhausted
+            budget.tick()
             nxt = eng.abstract_post(aset, letter, choice)
             if nxt in parents:
                 continue
             parents[nxt] = (aset, (letter, choice))
             depth_of[nxt] = depth + 1
             if goal(nxt):
-                return bfs_path(parents, nxt)[1]
+                return bfs_path(parents, nxt)
             queue.append((nxt, depth + 1))
     return None
 
@@ -270,7 +269,7 @@ def reference_outcome(aut, bound, max_data=None, max_nodes=None, universality=Fa
             return ("Witness", (), 0, 0)
     else:
         root, goal = eng.abstract_initial(), is_synchronized
-    budget = _Budget(max_nodes)
+    budget = _Budget(max_nodes, "search")
     tables = []
 
     def queued(witnesses=0):
@@ -279,7 +278,7 @@ def reference_outcome(aut, bound, max_data=None, max_nodes=None, universality=Fa
 
     try:
         path = reference_search_bfs(eng, root, goal, bound, max_data, budget, tables)
-    except _Exhausted:
+    except InconclusiveError:
         return ("BudgetExhausted", None, budget.spent, queued())
     if path is None:
         return ("NoneWithinBound", None, budget.spent, queued())
@@ -517,7 +516,7 @@ def pair_state_shrink(aut, max_nodes=1_000_000):
                     queue.append(nxt)
         if found is None:
             return dra.NotShrinkable(loc0), explored
-        choices.extend(bfs_path(parents, found)[1])
+        choices.extend(bfs_path(parents, found))
         current = found[0]
     word = instantiate_choice_word(tuple(choices), range(k))
     residual = frozenset(current.configs)

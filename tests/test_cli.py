@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from regsync import oracle
 from regsync.cli import EMPTY_WORD, main
 from regsync.dsl import parse_automaton, serialize_automaton
 from regsync.gadgets import gen_chain_dra, gen_counter_nra
@@ -386,6 +387,25 @@ class TestOtherCommands:
         assert code == 0
         assert "min length: 3" in out
         assert "min data efficiency: 3" in out
+
+    def test_oracle_searches_the_full_pool_once(self, capsys, tmp_path, fig4_file, monkeypatch):
+        # the length search over the full pool already proves that pool has a
+        # word, so the data efficiency search stops short of it
+        chain3 = tmp_path / "chain3.ra"
+        chain3.write_text(serialize_automaton(gen_chain_dra(3)))
+        search, pools = oracle.oracle_search, []
+
+        def spy(aut, params):
+            pools.append(params.data_pool_size)
+            return search(aut, params)
+
+        monkeypatch.setattr(oracle, "oracle_search", spy)
+        for path, max_len, pool, searched, length, efficiency in (
+                (chain3, "4", "4", [4, 1, 2, 3], 4, 4), (fig4_file, "3", "3", [3, 1, 2], 3, 2)):
+            pools.clear()
+            code, out, _ = run(capsys, "oracle", str(path), "--max-len", max_len, "--pool", pool)
+            assert code == 0 and pools == searched
+            assert f"min length: {length}\nmin data efficiency: {efficiency}\n" in out
 
     def test_oracle_negative(self, capsys, chain2_file):
         code, _, _ = run(capsys, "oracle", chain2_file, "--max-len", "2")
